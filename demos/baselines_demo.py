@@ -6,22 +6,24 @@ PCA+linear surrogate on shared test sets.
 """
 import numpy as np
 
-from opsurrogate import GridFunction, BOX2D, fit_pca, norm, rb_galerkin_solve
+from opsurrogate import GridFunction, BOX2D, fit_pca, norm
 from opsurrogate.datasets import ProblemConfig, generate_dataset
 from opsurrogate.protocols import run_chkifa_comparison, taylor_tail_decay
 from opsurrogate.random_fields import coeff_model_spec
+from opsurrogate.surrogate import RbSolver
 
 # reduced basis on lognormal Darcy
 train = generate_dataset(ProblemConfig(problem="darcy_lognormal",
                                        resolution=33, count=96, seed=7))
 test = generate_dataset(ProblemConfig(problem="darcy_lognormal",
                                       resolution=33, count=24, seed=8))
-pca_u = fit_pca(train.y_functions(), d=20)
+rb = RbSolver(fit_pca(train.ys, BOX2D, 33, d=20))
+f = GridFunction(BOX2D, 33, np.ones(33 * 33))
 errs = []
-for a, u in zip(test.x_functions(), test.y_functions()):
-    f = GridFunction(BOX2D, 33, np.ones(33 * 33))
-    u_rb = rb_galerkin_solve(pca_u, a, f)
-    errs.append(norm(GridFunction(BOX2D, 33, u_rb.values - u.values)) / norm(u))
+for a, u in zip(test.xs, test.ys):
+    u_rb = rb.solve(GridFunction(BOX2D, 33, a), f)
+    errs.append(norm(GridFunction(BOX2D, 33, u_rb.values - u))
+                / norm(GridFunction(BOX2D, 33, u)))
 print(f"RB Galerkin d=20 on darcy_lognormal: mean rel error {np.mean(errs):.4f}")
 
 # Taylor truncation vs PCA+linear at equal PDE-solve budgets

@@ -39,7 +39,6 @@ _EXPORTS = {
         "mu_g_spec",
         "mu_l_spec",
         "mu_p_spec",
-        "sample_coeff_model",
         "sample_field",
     ),
     "regressors": (
@@ -64,7 +63,6 @@ _EXPORTS = {
         "Surrogate",
         "predict_function",
         "psi_pca_error",
-        "rb_galerkin_solve",
         "relative_test_error",
         "taylor_truncation_poisson",
     ),

@@ -103,6 +103,15 @@ def _fit_config(args):
     )
 
 
+def _print_row(row: dict):
+    """One CSV record, after its header line, on stdout."""
+    import csv
+
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
+    writer.writeheader()
+    writer.writerow(row)
+
+
 def cmd_generate(args) -> int:
     from .datasets import generate_dataset, write_dataset
 
@@ -160,9 +169,7 @@ def cmd_eval(args) -> int:
         "relative_error": repr(error),
         "online_seconds": repr(online),
     }
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
-    writer.writeheader()
-    writer.writerow(row)
+    _print_row(row)
     if args.csv:
         with open(args.csv, "a", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=list(row))
@@ -202,8 +209,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    import csv
-
     from .datasets import read_dataset
     from .harness import evaluate, load_surrogate, transfer_surrogate
 
@@ -218,15 +223,11 @@ def cmd_transfer(args) -> int:
         "relative_error": repr(error),
         "online_seconds": repr(online),
     }
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
-    writer.writeheader()
-    writer.writerow(row)
+    _print_row(row)
     return 0
 
 
 def cmd_baseline_rb(args) -> int:
-    import csv
-
     import numpy as np
 
     from .datasets import generate_dataset
@@ -239,7 +240,7 @@ def cmd_baseline_rb(args) -> int:
 
     train = generate_dataset(base)
     test = generate_dataset(replace(base, count=args.n_test, seed=args.test_seed))
-    pca_out = fit_pca(train.y_functions(), args.d)
+    pca_out = fit_pca(train.ys, train.config.domain, train.resolution, args.d)
     rb = RbSolver(pca_out)
     n = base.resolution
     ones = GridFunction("box2d", n, np.ones(n * n))
@@ -248,9 +249,7 @@ def cmd_baseline_rb(args) -> int:
     ratios, _ = relative_errors(preds, test.ys, quadrature_weights("box2d", n))
     row = {"method": "rb", "problem": base.problem, "d": args.d,
            "relative_error": repr(float(np.mean(ratios)))}
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
-    writer.writeheader()
-    writer.writerow(row)
+    _print_row(row)
     return 0
 
 
@@ -293,14 +292,16 @@ def cmd_theory(args) -> int:
             spec, args.d, args.delta, args.n_train, args.n_test, args.seed
         )
     elif args.check == "lipschitz":
+        import numpy as np
+
         from .pca import fit_pca
         from .random_fields import derive_seed, sample_field
         from .theory import check_encoder_lipschitz
 
         spec = mu_g_spec(args.cutoff or 16)
-        data = [sample_field(spec, 33, derive_seed(args.seed, i))
-                for i in range(args.n_train)]
-        model = fit_pca(data, args.d)
+        data = np.stack([sample_field(spec, 33, derive_seed(args.seed, i)).values
+                         for i in range(args.n_train)])
+        model = fit_pca(data, "box2d", 33, args.d)
         report = check_encoder_lipschitz(model, args.trials, args.seed + 1)
     else:
         print(f"error: unknown theory check {args.check!r}; "

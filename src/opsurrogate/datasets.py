@@ -8,14 +8,14 @@ regenerating from the same config yields byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import BOX2D, TORUS1D, GridFunction, subsample
+from .grid import BOX2D, TORUS1D, GridFunction, nested_stride, subsample_rows
 from .random_fields import (
-    COEFF_MODEL,
     MeasureSpec,
     coeff_model_basis,
     coeff_model_spec,
@@ -27,9 +27,14 @@ from .random_fields import (
     nyquist_cutoff,
     sample_field,
 )
-from .solvers import EllipticProblem, solve_burgers_batch, solve_darcy, solve_poisson
+from .solvers import EllipticProblem, solve_burgers_batch, solve_darcy
 
 FORMAT_VERSION = 1
+
+
+class FormatError(ValueError):
+    """A dataset or model file that does not match its `meta`."""
+
 
 PROBLEMS = (
     "linear_elliptic",
@@ -58,9 +63,8 @@ class ProblemConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; choose from {PROBLEMS}")
-        domain = TORUS1D if self.problem == "burgers" else BOX2D
         if self.cutoff is None:
-            self.cutoff = nyquist_cutoff(domain, self.resolution)
+            self.cutoff = nyquist_cutoff(self.domain, self.resolution)
 
     @property
     def domain(self) -> str:
@@ -84,17 +88,16 @@ class Dataset:
     xs: np.ndarray                      # (count, input points)
     ys: np.ndarray                      # (count, output points)
     xis: np.ndarray | None = None       # coefficient model only
-    extras: dict = field(default_factory=dict)
 
     @property
     def resolution(self) -> int:
         return self.config.resolution
 
-    def x_functions(self) -> list[GridFunction]:
-        return [GridFunction(self.config.domain, self.resolution, row) for row in self.xs]
-
-    def y_functions(self) -> list[GridFunction]:
-        return [GridFunction(self.config.domain, self.resolution, row) for row in self.ys]
+    def head(self, count: int) -> "Dataset":
+        """The first `count` samples."""
+        xis = None if self.xis is None else self.xis[:count]
+        return Dataset(replace(self.config, count=count), self.xs[:count],
+                       self.ys[:count], xis=xis)
 
 
 def fixed_coefficient(resolution: int, cutoff: int | None = None) -> GridFunction:
@@ -109,7 +112,7 @@ def fixed_coefficient(resolution: int, cutoff: int | None = None) -> GridFunctio
     return sample_field(spec, resolution, derive_seed(0, _AUX_SALT))
 
 
-def generate_dataset(cfg: ProblemConfig, progress=None) -> Dataset:
+def generate_dataset(cfg: ProblemConfig) -> Dataset:
     """Sample inputs, run the ground-truth solver, return paired data.
 
     Per-sample seeds are derived from the base seed, so samples are
@@ -118,44 +121,34 @@ def generate_dataset(cfg: ProblemConfig, progress=None) -> Dataset:
     n = cfg.resolution
     spec = cfg.measure()
     count = cfg.count
-    if cfg.problem == "burgers":
-        xs = np.stack(
-            [sample_field(spec, n, derive_seed(cfg.seed, i)).values for i in range(count)]
-        )
-        ys = solve_burgers_batch(xs, cfg.beta, cfg.t_final)
-        return Dataset(cfg, xs, ys)
-
+    xis = None
     if cfg.problem == "coeff_model":
         rngs = [np.random.default_rng(derive_seed(cfg.seed, i)) for i in range(count)]
         xis = np.stack([rng.uniform(-1.0, 1.0, size=cfg.coeff_dim) for rng in rngs])
         basis = coeff_model_basis(spec, cfg.coeff_dim, n)
         xs = xis @ basis
-        ys = np.empty_like(xs)
+    else:
+        xs = np.empty((count, n * n if cfg.domain == BOX2D else n))
         for i in range(count):
-            ys[i] = solve_poisson(GridFunction(BOX2D, n, xs[i]), rtol=cfg.solver_rtol).values
-            if progress:
-                progress(i)
-        return Dataset(cfg, xs, ys, xis=xis)
+            xs[i] = sample_field(spec, n, derive_seed(cfg.seed, i)).values
+    if cfg.problem == "burgers":
+        return Dataset(cfg, xs, solve_burgers_batch(xs, cfg.beta, cfg.t_final))
 
     ones = GridFunction(BOX2D, n, np.ones(n * n))
     a_fixed = (
         fixed_coefficient(n, cfg.cutoff) if cfg.problem == "linear_elliptic" else None
     )
-    xs = np.empty((count, n * n))
-    ys = np.empty((count, n * n))
+    ys = np.empty_like(xs)
     for i in range(count):
-        x = sample_field(spec, n, derive_seed(cfg.seed, i))
-        xs[i] = x.values
+        x = GridFunction(BOX2D, n, xs[i])
         if cfg.problem == "linear_elliptic":
             prob = EllipticProblem(a_fixed, x)
-        elif cfg.problem == "poisson":
+        elif cfg.problem in ("poisson", "coeff_model"):
             prob = EllipticProblem(ones, x)
         else:  # darcy_lognormal, darcy_piecewise: coefficient -> solution, f = 1
             prob = EllipticProblem(x, ones)
         ys[i] = solve_darcy(prob, rtol=cfg.solver_rtol).values
-        if progress:
-            progress(i)
-    return Dataset(cfg, xs, ys)
+    return Dataset(cfg, xs, ys, xis=xis)
 
 
 def subsample_dataset(ds: Dataset, target_n: int) -> Dataset:
@@ -166,22 +159,10 @@ def subsample_dataset(ds: Dataset, target_n: int) -> Dataset:
     domain = ds.config.domain
     if target_n == n:
         return ds
-    if domain == BOX2D:
-        if (n - 1) % (target_n - 1) != 0:
-            raise ValueError(f"{target_n} does not nest in {n}")
-        stride = (n - 1) // (target_n - 1)
-    else:
-        if n % target_n != 0:
-            raise ValueError(f"{target_n} does not nest in {n}")
-        stride = n // target_n
-
-    def sub(rows):
-        return np.stack(
-            [subsample(GridFunction(domain, n, r), stride).values for r in rows]
-        )
-
+    stride = nested_stride(domain, n, target_n)
     cfg = replace(ds.config, resolution=target_n, cutoff=ds.config.cutoff)
-    return Dataset(cfg, sub(ds.xs), sub(ds.ys), xis=ds.xis)
+    return Dataset(cfg, subsample_rows(domain, n, ds.xs, stride),
+                   subsample_rows(domain, n, ds.ys, stride), xis=ds.xis)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +192,41 @@ def read_meta(path: str) -> dict:
     return out
 
 
-def _write_tensor(path: str, arr: np.ndarray):
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def write_bundle(directory: str, meta: dict, tensors: dict):
+    """Write a `meta` file and one raw little-endian float64 file
+    `<name>.f64` per named tensor: the layout of dataset and model
+    directories."""
+    os.makedirs(directory, exist_ok=True)
+    write_meta(os.path.join(directory, "meta"), meta)
+    for name, arr in tensors.items():
+        with open(os.path.join(directory, f"{name}.f64"), "wb") as fh:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_tensor(path: str, shape) -> np.ndarray:
-    arr = np.fromfile(path, dtype="<f8")
-    return arr.reshape(shape)
+def read_bundle_meta(directory: str, version: int) -> dict:
+    path = os.path.join(directory, "meta")
+    meta = read_meta(path)
+    if int(meta["format_version"]) != version:
+        raise FormatError(
+            f"{path}: unsupported format_version {meta['format_version']} "
+            f"(expected {version})"
+        )
+    return meta
+
+
+def read_tensor(directory: str, name: str, shape) -> np.ndarray:
+    """The tensor `<name>.f64` of a bundle, which must hold exactly `shape`."""
+    path = os.path.join(directory, f"{name}.f64")
+    expected = 8 * math.prod(shape)
+    actual = os.path.getsize(path)
+    if actual != expected:
+        raise FormatError(
+            f"{path}: expected {expected} bytes for shape {shape}, found {actual}"
+        )
+    return np.fromfile(path, dtype="<f8").reshape(shape)
 
 
 def write_dataset(ds: Dataset, directory: str):
-    os.makedirs(directory, exist_ok=True)
     cfg = ds.config
     meta = {
         "format_version": FORMAT_VERSION,
@@ -239,13 +243,11 @@ def write_dataset(ds: Dataset, directory: str):
         "y_shape": f"{ds.ys.shape[0]}x{ds.ys.shape[1]}",
         "domain": cfg.domain,
     }
+    tensors = {"x": ds.xs, "y": ds.ys}
     if ds.xis is not None:
         meta["xi_shape"] = f"{ds.xis.shape[0]}x{ds.xis.shape[1]}"
-    write_meta(os.path.join(directory, "meta"), meta)
-    _write_tensor(os.path.join(directory, "x.f64"), ds.xs)
-    _write_tensor(os.path.join(directory, "y.f64"), ds.ys)
-    if ds.xis is not None:
-        _write_tensor(os.path.join(directory, "xi.f64"), ds.xis)
+        tensors["xi"] = ds.xis
+    write_bundle(directory, meta, tensors)
 
 
 def _parse_shape(s: str):
@@ -253,9 +255,7 @@ def _parse_shape(s: str):
 
 
 def read_dataset(directory: str) -> Dataset:
-    meta = read_meta(os.path.join(directory, "meta"))
-    if int(meta["format_version"]) != FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {meta['format_version']}")
+    meta = read_bundle_meta(directory, FORMAT_VERSION)
     cfg = ProblemConfig(
         problem=meta["problem"],
         resolution=int(meta["resolution"]),
@@ -267,11 +267,9 @@ def read_dataset(directory: str) -> Dataset:
         coeff_dim=int(meta["coeff_dim"]),
         solver_rtol=float(meta["solver_rtol"]),
     )
-    xs = _read_tensor(os.path.join(directory, "x.f64"), _parse_shape(meta["x_shape"]))
-    ys = _read_tensor(os.path.join(directory, "y.f64"), _parse_shape(meta["y_shape"]))
+    xs = read_tensor(directory, "x", _parse_shape(meta["x_shape"]))
+    ys = read_tensor(directory, "y", _parse_shape(meta["y_shape"]))
     xis = None
     if "xi_shape" in meta:
-        xis = _read_tensor(
-            os.path.join(directory, "xi.f64"), _parse_shape(meta["xi_shape"])
-        )
+        xis = read_tensor(directory, "xi", _parse_shape(meta["xi_shape"]))
     return Dataset(cfg, xs, ys, xis=xis)

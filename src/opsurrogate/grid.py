@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,23 +111,42 @@ def inner_product(u: GridFunction, v: GridFunction) -> float:
 
 
 def norm(u: GridFunction) -> float:
-    w = quadrature_weights(u.domain, u.n)
-    return float(np.sqrt(np.dot(w * u.values, u.values)))
+    return math.sqrt(inner_product(u, u))
+
+
+def _intervals(domain: str, n: int) -> int:
+    """Grid intervals per axis: n - 1 on box2d (both ends are nodes), n on
+    the torus."""
+    return n - 1 if domain == BOX2D else n
+
+
+def nested_stride(domain: str, n: int, target_n: int) -> int:
+    """Stride that takes an n-point grid onto the coarser target_n-point
+    grid nested in it."""
+    fine, coarse = _intervals(domain, n), _intervals(domain, target_n)
+    if coarse < 1 or fine % coarse != 0:
+        raise ShapeError(f"coarse target {target_n} does not nest in {n}")
+    return fine // coarse
+
+
+def subsample_rows(domain: str, n: int, rows: np.ndarray, stride: int) -> np.ndarray:
+    """Keep every stride-th node of each row of a (count, points) array;
+    boundaries retained on box2d."""
+    if domain == BOX2D:
+        return rows.reshape(-1, n, n)[:, ::stride, ::stride].reshape(rows.shape[0], -1)
+    return rows[:, ::stride].copy()
 
 
 def subsample(u: GridFunction, stride: int) -> GridFunction:
     """Keep every stride-th node; boundaries retained on box2d."""
     if stride < 1:
         raise ShapeError("stride must be positive")
-    if u.domain == BOX2D:
-        if (u.n - 1) % stride != 0:
-            raise ShapeError(f"(n-1)={u.n - 1} not divisible by stride {stride}")
-        m = (u.n - 1) // stride + 1
-        vals = u.as_2d()[::stride, ::stride]
-        return GridFunction(BOX2D, m, vals)
-    if u.n % stride != 0:
-        raise ShapeError(f"n={u.n} not divisible by stride {stride}")
-    return GridFunction(TORUS1D, u.n // stride, u.values[::stride])
+    fine = _intervals(u.domain, u.n)
+    if fine % stride != 0:
+        raise ShapeError(f"{fine} grid intervals not divisible by stride {stride}")
+    m = fine // stride + (1 if u.domain == BOX2D else 0)
+    vals = subsample_rows(u.domain, u.n, u.values[None], stride)[0]
+    return GridFunction(u.domain, m, vals)
 
 
 def interpolate(u: GridFunction, target_n: int) -> GridFunction:

@@ -11,29 +11,24 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datasets import (
     Dataset,
     ProblemConfig,
-    _read_tensor,
-    _write_tensor,
-    read_meta,
+    read_bundle_meta,
+    read_tensor,
     subsample_dataset,
-    write_meta,
+    write_bundle,
 )
-from .grid import GridFunction
 from .pca import PcaModel, fit_pca, transfer_basis
-from .regressors import LinearModel, MlpModel, TrainConfig
-from .surrogate import (
-    Surrogate,
-    fit_surrogate,
-    predict_batch,
-    relative_errors,
-    relative_test_error,
-)
+from .regressors import DEFAULT_HIDDEN, LinearModel, MlpModel, TrainConfig
+from .surrogate import Surrogate, fit_surrogate, relative_test_error
+from .surrogate import relative_errors  # noqa: F401  (perfbench times it under this name)
+
+MODEL_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -45,7 +40,7 @@ class FitConfig:
     seed: int = 0
     momentum: float = 0.99
     learning_rates: tuple = (1e-2, 5e-3, 1e-3, 5e-4, 1e-4)
-    hidden: tuple = (500, 1000, 2000, 1000, 500)
+    hidden: tuple = DEFAULT_HIDDEN
     weighted: bool = True
 
     def train_config(self) -> TrainConfig:
@@ -61,33 +56,9 @@ class FitConfig:
 def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = None):
     """Fit input/output PCA and the latent regressor; returns
     (surrogate, train_result_or_None)."""
-    pca_in = fit_pca(ds.x_functions(), fit_cfg.d, weighted=fit_cfg.weighted)
-    pca_out = fit_pca(ds.y_functions(), fit_cfg.d, weighted=fit_cfg.weighted)
-    if fit_cfg.regressor == "nn":
-        from .regressors import init_mlp
-
-        dims = [fit_cfg.d, *fit_cfg.hidden, fit_cfg.d]
-        init_model = init_mlp(dims, fit_cfg.seed)
-    else:
-        init_model = None
-
-    test_metric = None
-    if test_ds is not None and fit_cfg.regressor == "nn":
-        from .pca import decode_batch, encode_batch
-        from .regressors import mlp_forward
-        from .surrogate import _target_weights, code_scaling_stats
-
-        codes_in = encode_batch(pca_in, ds.xs)
-        mean, std = code_scaling_stats(codes_in)
-        tmean, tstd = code_scaling_stats(encode_batch(pca_out, ds.ys))
-        test_codes = (encode_batch(pca_in, test_ds.xs) - mean) / std
-        w = _target_weights(pca_out)
-
-        def test_metric(mlp):
-            preds = decode_batch(pca_out, tmean + tstd * mlp_forward(mlp, test_codes))
-            ratios, _ = relative_errors(preds, test_ds.ys, w)
-            return float(np.mean(ratios))
-
+    grid = (ds.config.domain, ds.resolution)
+    pca_in = fit_pca(ds.xs, *grid, fit_cfg.d, weighted=fit_cfg.weighted)
+    pca_out = fit_pca(ds.ys, *grid, fit_cfg.d, weighted=fit_cfg.weighted)
     return fit_surrogate(
         ds.xs,
         ds.ys,
@@ -95,8 +66,8 @@ def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = 
         pca_out,
         fit_cfg.regressor,
         fit_cfg.train_config(),
-        init_model=init_model,
-        test_metric_fn=test_metric,
+        hidden=fit_cfg.hidden,
+        test=None if test_ds is None else (test_ds.xs, test_ds.ys),
     )
 
 
@@ -105,42 +76,30 @@ def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = 
 
 def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = None,
                    loss_history=None, test_history=None):
-    os.makedirs(directory, exist_ok=True)
+    if sur.pca_in.weighted != sur.pca_out.weighted:
+        raise ValueError(
+            "the model format stores one `weighted` flag for both PCAs, but "
+            f"pca_in.weighted={sur.pca_in.weighted} and "
+            f"pca_out.weighted={sur.pca_out.weighted}"
+        )
     meta = dict(extra_meta or {})
-    meta.update(
-        {
-            "format_version": 1,
-            "domain_in": sur.pca_in.domain,
-            "domain_out": sur.pca_out.domain,
-            "n_in": sur.pca_in.n,
-            "n_out": sur.pca_out.n,
-            "d_in": sur.pca_in.d,
-            "d_out": sur.pca_out.d,
-            "weighted": int(sur.pca_in.weighted),
-            "n_eigs_in": sur.pca_in.eigenvalues.size,
-            "n_eigs_out": sur.pca_out.eigenvalues.size,
-        }
-    )
-    _write_tensor(os.path.join(directory, "basis_in.f64"), sur.pca_in.basis)
-    _write_tensor(os.path.join(directory, "basis_out.f64"), sur.pca_out.basis)
-    _write_tensor(os.path.join(directory, "eigs_in.f64"), sur.pca_in.eigenvalues)
-    _write_tensor(os.path.join(directory, "eigs_out.f64"), sur.pca_out.eigenvalues)
-    _write_tensor(os.path.join(directory, "input_mean.f64"), sur.input_mean)
-    _write_tensor(os.path.join(directory, "input_std.f64"), sur.input_std)
+    meta.update(format_version=MODEL_FORMAT_VERSION, weighted=int(sur.pca_in.weighted))
+    tensors = {"input_mean": sur.input_mean, "input_std": sur.input_std}
+    for side, pca in (("in", sur.pca_in), ("out", sur.pca_out)):
+        meta.update({f"domain_{side}": pca.domain, f"n_{side}": pca.n,
+                     f"d_{side}": pca.d, f"n_eigs_{side}": pca.eigenvalues.size})
+        tensors.update({f"basis_{side}": pca.basis, f"eigs_{side}": pca.eigenvalues})
     if sur.target_mean is not None:
-        _write_tensor(os.path.join(directory, "target_mean.f64"), sur.target_mean)
-        _write_tensor(os.path.join(directory, "target_std.f64"), sur.target_std)
+        tensors.update(target_mean=sur.target_mean, target_std=sur.target_std)
     if isinstance(sur.regressor, LinearModel):
         meta["regressor"] = "linear"
-        _write_tensor(os.path.join(directory, "lin_matrix.f64"), sur.regressor.matrix)
-        _write_tensor(os.path.join(directory, "lin_bias.f64"), sur.regressor.bias)
+        tensors.update(lin_matrix=sur.regressor.matrix, lin_bias=sur.regressor.bias)
     else:
         meta["regressor"] = "nn"
         meta["layer_dims"] = "x".join(str(v) for v in sur.regressor.dims)
         for i, (W, b) in enumerate(zip(sur.regressor.weights, sur.regressor.biases)):
-            _write_tensor(os.path.join(directory, f"w{i}.f64"), W)
-            _write_tensor(os.path.join(directory, f"b{i}.f64"), b)
-    write_meta(os.path.join(directory, "meta"), meta)
+            tensors.update({f"w{i}": W, f"b{i}": b})
+    write_bundle(directory, meta, tensors)
     if loss_history is not None:
         with open(os.path.join(directory, "loss_history.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -153,42 +112,34 @@ def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = Non
 
 
 def load_surrogate(directory: str) -> Surrogate:
-    meta = read_meta(os.path.join(directory, "meta"))
-    n_in, n_out = int(meta["n_in"]), int(meta["n_out"])
-    d_in, d_out = int(meta["d_in"]), int(meta["d_out"])
+    meta = read_bundle_meta(directory, MODEL_FORMAT_VERSION)
     weighted = bool(int(meta["weighted"]))
-    pts_in = n_in ** 2 if meta["domain_in"] == "box2d" else n_in
-    pts_out = n_out ** 2 if meta["domain_out"] == "box2d" else n_out
-    pca_in = PcaModel(
-        meta["domain_in"], n_in, d_in,
-        _read_tensor(os.path.join(directory, "basis_in.f64"), (d_in, pts_in)),
-        _read_tensor(os.path.join(directory, "eigs_in.f64"), (int(meta["n_eigs_in"]),)),
-        weighted=weighted,
-    )
-    pca_out = PcaModel(
-        meta["domain_out"], n_out, d_out,
-        _read_tensor(os.path.join(directory, "basis_out.f64"), (d_out, pts_out)),
-        _read_tensor(os.path.join(directory, "eigs_out.f64"), (int(meta["n_eigs_out"]),)),
-        weighted=weighted,
-    )
-    mean = _read_tensor(os.path.join(directory, "input_mean.f64"), (d_in,))
-    std = _read_tensor(os.path.join(directory, "input_std.f64"), (d_in,))
+    pcas = []
+    for side in ("in", "out"):
+        domain = meta[f"domain_{side}"]
+        n, d = int(meta[f"n_{side}"]), int(meta[f"d_{side}"])
+        points = n ** 2 if domain == "box2d" else n
+        eigs = read_tensor(directory, f"eigs_{side}", (int(meta[f"n_eigs_{side}"]),))
+        basis = read_tensor(directory, f"basis_{side}", (d, points))
+        pcas.append(PcaModel(domain, n, d, basis, eigs, weighted=weighted))
+    pca_in, pca_out = pcas
+    d_in, d_out = pca_in.d, pca_out.d
+    mean = read_tensor(directory, "input_mean", (d_in,))
+    std = read_tensor(directory, "input_std", (d_in,))
     if meta["regressor"] == "linear":
-        reg = LinearModel(
-            _read_tensor(os.path.join(directory, "lin_matrix.f64"), (d_out, d_in)),
-            _read_tensor(os.path.join(directory, "lin_bias.f64"), (d_out,)),
-        )
+        reg = LinearModel(read_tensor(directory, "lin_matrix", (d_out, d_in)),
+                          read_tensor(directory, "lin_bias", (d_out,)))
     else:
         dims = [int(v) for v in meta["layer_dims"].split("x")]
         weights, biases = [], []
         for i, (fi, fo) in enumerate(zip(dims[:-1], dims[1:])):
-            weights.append(_read_tensor(os.path.join(directory, f"w{i}.f64"), (fo, fi)))
-            biases.append(_read_tensor(os.path.join(directory, f"b{i}.f64"), (fo,)))
+            weights.append(read_tensor(directory, f"w{i}", (fo, fi)))
+            biases.append(read_tensor(directory, f"b{i}", (fo,)))
         reg = MlpModel(weights, biases)
     tmean = tstd = None
     if os.path.exists(os.path.join(directory, "target_mean.f64")):
-        tmean = _read_tensor(os.path.join(directory, "target_mean.f64"), (d_out,))
-        tstd = _read_tensor(os.path.join(directory, "target_std.f64"), (d_out,))
+        tmean = read_tensor(directory, "target_mean", (d_out,))
+        tstd = read_tensor(directory, "target_std", (d_out,))
     return Surrogate(pca_in, pca_out, reg, mean, std, tmean, tstd)
 
 
@@ -199,9 +150,7 @@ def transfer_surrogate(sur: Surrogate, target_n: int) -> tuple[Surrogate, float]
     """Move both PCA bases to another mesh; the regressor is untouched."""
     pca_in, res_in = transfer_basis(sur.pca_in, target_n)
     pca_out, res_out = transfer_basis(sur.pca_out, target_n)
-    moved = Surrogate(pca_in, pca_out, sur.regressor, sur.input_mean, sur.input_std,
-                      sur.target_mean, sur.target_std)
-    return moved, max(res_in, res_out)
+    return replace(sur, pca_in=pca_in, pca_out=pca_out), max(res_in, res_out)
 
 
 def evaluate(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False):
@@ -241,8 +190,6 @@ def run_sweep(
     dicts with keys problem, resolution, d, N, regressor, relative_error,
     online_seconds, status.
     """
-    from dataclasses import replace
-
     from .datasets import generate_dataset
 
     if axis not in SWEEP_AXES:
@@ -261,11 +208,7 @@ def run_sweep(
             train, test = train_full, test_full
             cell_fit = replace(fit_cfg, d=value)
         else:
-            train = Dataset(
-                replace(train_full.config, count=value),
-                train_full.xs[:value], train_full.ys[:value],
-                xis=None if train_full.xis is None else train_full.xis[:value],
-            )
+            train = train_full.head(value)
             test = test_full
             cell_fit = fit_cfg
         for reg in regressors:

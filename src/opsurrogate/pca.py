@@ -14,10 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .grid import (
-    BOX2D,
     GridFunction,
     ShapeError,
     interpolate,
+    nested_stride,
     quadrature_weights,
     subsample,
 )
@@ -71,14 +71,6 @@ class PcaModel:
         return float(np.max(np.abs(G - np.eye(self.d))))
 
 
-def _stack(data: list[GridFunction]) -> tuple[str, int, np.ndarray]:
-    first = data[0]
-    for u in data[1:]:
-        if u.domain != first.domain or u.n != first.n:
-            raise ShapeError("all training functions must share domain/resolution")
-    return first.domain, first.n, np.stack([u.values for u in data])
-
-
 def _apply_sign_convention(basis: np.ndarray) -> np.ndarray:
     # entry of largest magnitude (first occurrence) is made positive
     idx = np.argmax(np.abs(basis), axis=1)
@@ -87,13 +79,22 @@ def _apply_sign_convention(basis: np.ndarray) -> np.ndarray:
     return basis * signs[:, None]
 
 
-def fit_pca(data: list[GridFunction], d: int, weighted: bool = True) -> PcaModel:
-    """Snapshot-method PCA of N grid functions, retaining the top d modes."""
-    N = len(data)
+def fit_pca(
+    values: np.ndarray, domain: str, n: int, d: int, weighted: bool = True
+) -> PcaModel:
+    """Snapshot-method PCA of the N rows of an (N, num_points) array of
+    values on the (domain, n) grid, retaining the top d modes."""
+    U = np.ascontiguousarray(values, dtype=np.float64)
+    w = quadrature_weights(domain, n)
+    if U.ndim != 2 or U.shape[1] != w.size:
+        raise ShapeError(f"rows must hold the {w.size} values of a {domain} n={n} grid")
+    if not np.all(np.isfinite(U)):
+        raise ShapeError("grid values must be finite")
+    N = U.shape[0]
     if d < 1 or d > N:
         raise PcaConfigError(f"need 1 <= d <= N, got d={d}, N={N}")
-    domain, n, U = _stack(data)
-    w = quadrature_weights(domain, n) if weighted else np.ones(U.shape[1])
+    if not weighted:
+        w = np.ones(w.size)
     G = (U * w) @ U.T / N
     G = 0.5 * (G + G.T)
     evals, evecs = scipy.linalg.eigh(G)
@@ -115,7 +116,7 @@ def fit_pca(data: list[GridFunction], d: int, weighted: bool = True) -> PcaModel
 def encode(model: PcaModel, u: GridFunction) -> np.ndarray:
     if u.domain != model.domain or u.n != model.n:
         raise ShapeError("function does not live on the model's grid")
-    return (model.basis * model.weights) @ u.values
+    return encode_batch(model, u.values[None, :])[0]
 
 
 def encode_batch(model: PcaModel, values: np.ndarray) -> np.ndarray:
@@ -129,7 +130,7 @@ def decode(model: PcaModel, s: np.ndarray) -> GridFunction:
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (model.d,):
         raise ShapeError(f"latent vector must have shape ({model.d},)")
-    return GridFunction(model.domain, model.n, s @ model.basis)
+    return GridFunction(model.domain, model.n, decode_batch(model, s[None, :])[0])
 
 
 def decode_batch(model: PcaModel, codes: np.ndarray) -> np.ndarray:
@@ -139,9 +140,10 @@ def decode_batch(model: PcaModel, codes: np.ndarray) -> np.ndarray:
     return codes @ model.basis
 
 
-def empirical_projection_error(model: PcaModel, data: list[GridFunction]) -> float:
-    """(1/N) sum_j ||u_j - Pi u_j||^2 in the model's inner product."""
-    _, _, U = _stack(data)
+def empirical_projection_error(model: PcaModel, values: np.ndarray) -> float:
+    """(1/N) sum_j ||u_j - Pi u_j||^2 in the model's inner product, over
+    the rows u_j of an (N, num_points) array on the model's grid."""
+    U = np.asarray(values, dtype=np.float64)
     codes = encode_batch(model, U)
     resid = U - decode_batch(model, codes)
     w = model.weights
@@ -163,18 +165,7 @@ def transfer_basis(model: PcaModel, target_n: int) -> tuple[PcaModel, float]:
             for row in model.basis
         ]
     else:
-        if model.domain == BOX2D:
-            if (model.n - 1) % (target_n - 1) != 0:
-                raise ShapeError(
-                    f"coarse target {target_n} does not nest in {model.n}"
-                )
-            stride = (model.n - 1) // (target_n - 1)
-        else:
-            if model.n % target_n != 0:
-                raise ShapeError(
-                    f"coarse target {target_n} does not nest in {model.n}"
-                )
-            stride = model.n // target_n
+        stride = nested_stride(model.domain, model.n, target_n)
         moved = [
             subsample(GridFunction(model.domain, model.n, row), stride).values
             for row in model.basis

@@ -14,12 +14,9 @@ import numpy as np
 from .datasets import Dataset, ProblemConfig, generate_dataset
 from .grid import GridFunction, quadrature_weights
 from .harness import FitConfig, fit_from_dataset
-from .pca import encode_batch
 from .random_fields import MeasureSpec, coeff_model_sup_norms
-from .regressors import predict
 from .surrogate import (
     RbSolver,
-    Surrogate,
     predict_batch,
     relative_errors,
     relative_test_error,
@@ -87,11 +84,7 @@ def run_chkifa_comparison(
                 "test_hash": ghash,
             }
         )
-        train = Dataset(
-            replace(train_full.config, count=b),
-            train_full.xs[:b], train_full.ys[:b], xis=train_full.xis[:b],
-        )
-        sur, _ = fit_from_dataset(train, FitConfig(d=b, regressor="linear"))
+        sur, _ = fit_from_dataset(train_full.head(b), FitConfig(d=b, regressor="linear"))
         err = relative_test_error(sur, test.xs, test.ys)
         rows.append(
             {

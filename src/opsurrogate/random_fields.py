@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BOX2D, TORUS1D, GridFunction, grid_coords
+from .grid import BOX2D, TORUS1D, GridFunction
 
 
 class ConfigError(ValueError):
@@ -145,25 +145,16 @@ def box_mode_stddevs(spec: MeasureSpec) -> np.ndarray:
     return np.sqrt(spec.scale) * (np.pi ** 2 * k2 + spec.shift) ** (-spec.exponent / 2.0)
 
 
-def _gaussian_box_fields(spec: MeasureSpec, n: int, seed: int, count: int) -> np.ndarray:
-    """count independent mu_G-type draws, stacked as rows of an (count, n*n) array."""
+def sample_gaussian_box(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
+    if spec.kind not in (MU_G, MU_L, MU_P):
+        raise ConfigError(f"expected a mu_G-family spec, got {spec.kind}")
     _check_cutoff(BOX2D, n, spec.cutoff)
     K = spec.cutoff
     sigma = box_mode_stddevs(spec)
     B = _cosine_basis_1d(n, K)
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, n * n))
-    for i in range(count):
-        xi = rng.standard_normal((K + 1, K + 1))  # index [k1, k2]
-        # u[i2, i1] = sum_{k1,k2} sigma*xi [k1,k2] B[i2,k2] B[i1,k1]
-        out[i] = (B @ (sigma * xi).T @ B.T).reshape(-1)
-    return out
-
-
-def sample_gaussian_box(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
-    if spec.kind not in (MU_G, MU_L, MU_P):
-        raise ConfigError(f"expected a mu_G-family spec, got {spec.kind}")
-    return GridFunction(BOX2D, n, _gaussian_box_fields(spec, n, seed, 1)[0])
+    xi = np.random.default_rng(seed).standard_normal((K + 1, K + 1))  # index [k1, k2]
+    # u[i2, i1] = sum_{k1,k2} sigma*xi [k1,k2] B[i2,k2] B[i1,k1]
+    return GridFunction(BOX2D, n, (B @ (sigma * xi).T @ B.T).reshape(-1))
 
 
 def sample_mu_l(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
@@ -196,19 +187,13 @@ def torus_mode_stddevs(spec: MeasureSpec) -> np.ndarray:
     return np.repeat(sigma_k, [1] + [2] * spec.cutoff)
 
 
-def _torus_fields(spec: MeasureSpec, n: int, seed: int, count: int) -> np.ndarray:
-    _check_cutoff(TORUS1D, n, spec.cutoff)
-    sigma = torus_mode_stddevs(spec)
-    B = _torus_basis(n, spec.cutoff)
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((count, sigma.size))
-    return (xi * sigma) @ B
-
-
 def sample_mu_b(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
     if spec.kind != MU_B:
         raise ConfigError(f"expected a mu_B spec, got {spec.kind}")
-    return GridFunction(TORUS1D, n, _torus_fields(spec, n, seed, 1)[0])
+    _check_cutoff(TORUS1D, n, spec.cutoff)
+    sigma = torus_mode_stddevs(spec)
+    xi = np.random.default_rng(seed).standard_normal((1, sigma.size))
+    return GridFunction(TORUS1D, n, ((xi * sigma) @ _torus_basis(n, spec.cutoff))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +227,6 @@ def coeff_model_basis(spec: MeasureSpec, d: int, n: int) -> np.ndarray:
         kk1, kk2 = pairs[j]
         out[j] = np.sqrt(lam[j]) * np.outer(B[:, kk2], B[:, kk1]).reshape(-1)
     return out
-
-
-def sample_coeff_model(spec: MeasureSpec, d: int, n: int, seed: int):
-    """Draw xi ~ U(-1,1)^d, return (xi, assembled field sum_j xi_j phi_j)."""
-    if spec.kind != COEFF_MODEL:
-        raise ConfigError(f"expected a coeff_model spec, got {spec.kind}")
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(-1.0, 1.0, size=d)
-    basis = coeff_model_basis(spec, d, n)
-    return xi, GridFunction(BOX2D, n, xi @ basis)
 
 
 def coeff_model_sup_norms(spec: MeasureSpec, count: int) -> np.ndarray:

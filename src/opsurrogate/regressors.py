@@ -147,22 +147,17 @@ class TrainResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# blow-ups are expected while probing learning rates and are detected
+# through the loss check below, so the overflow warnings are just noise
+@np.errstate(over="ignore", invalid="ignore")
 def _run_sgd(init, x, y, cfg: TrainConfig, lr: float, test_metric_fn):
-    """Train a copy of `init`; returns (model, history, test_history) or a
-    blow-up diagnostic string."""
+    """Train a copy of `init`; returns ((model, history, test_history), None)
+    or (None, blow-up diagnostic string)."""
     model = init.copy()
-    n = x.shape[0]
-    # blow-ups are expected while probing learning rates and are detected
-    # through the loss check below, so the overflow warnings are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_sgd_inner(model, x, y, cfg, lr, test_metric_fn)
-
-
-def _run_sgd_inner(model, x, y, cfg: TrainConfig, lr: float, test_metric_fn):
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
     rng = np.random.default_rng(cfg.seed)
-    params = model.weights + model.biases
+    params = model.parameters()
     vel = [np.zeros_like(p) for p in params]
     nw = len(model.weights)
     loss0 = mlp_loss(model, x, y)
@@ -173,13 +168,13 @@ def _run_sgd_inner(model, x, y, cfg: TrainConfig, lr: float, test_metric_fn):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            look = [p + cfg.momentum * v for p, v in zip(params, vel)]
-            look_model = MlpModel(look[:nw], look[nw:])
-            _, gw, gb = mlp_loss_and_grads(look_model, x[idx], y[idx])
-            grads = gw + gb
-            for j in range(len(params)):
-                vel[j] = cfg.momentum * vel[j] - lr * grads[j]
-                params[j] = params[j] + vel[j]
+
+            def grads(theta):
+                look = MlpModel(theta[:nw], theta[nw:])
+                _, gw, gb = mlp_loss_and_grads(look, x[idx], y[idx])
+                return gw + gb
+
+            params, vel = nesterov_step(params, vel, grads, lr, cfg.momentum)
         model = MlpModel(params[:nw], params[nw:])
         loss = mlp_loss(model, x, y)
         history.append(loss)

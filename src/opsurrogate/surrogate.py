@@ -16,7 +16,7 @@ import numpy as np
 from .grid import GridFunction, ShapeError, quadrature_weights
 from .pca import PcaModel, decode_batch, encode_batch
 from .random_fields import MeasureSpec, coeff_model_basis
-from .regressors import LinearModel, MlpModel, TrainConfig, fit_linear, predict, train_mlp
+from .regressors import DEFAULT_HIDDEN, TrainConfig, fit_linear, predict, train_mlp
 from .solvers import NumericalError, solve_poisson
 
 
@@ -38,19 +38,6 @@ class Surrogate:
         if self.target_mean is None:
             return latents
         return self.target_mean + self.target_std * latents
-
-
-def _target_weights(model: PcaModel) -> np.ndarray:
-    return quadrature_weights(model.domain, model.n) if model.weighted else np.ones(
-        model.basis.shape[1]
-    )
-
-
-def standardization_stats(codes: np.ndarray):
-    mean = codes.mean(axis=0)
-    std = codes.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    return mean, std
 
 
 def code_scaling_stats(codes: np.ndarray):
@@ -79,8 +66,8 @@ def fit_surrogate(
     pca_out: PcaModel,
     regressor_kind: str,
     train_cfg: TrainConfig | None = None,
-    init_model: MlpModel | None = None,
-    test_metric_fn=None,
+    hidden: tuple = DEFAULT_HIDDEN,
+    test: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Train a latent regressor on encoded training pairs.
 
@@ -90,8 +77,11 @@ def fit_surrogate(
     unit-scale network initialization (training on them memorizes without
     generalizing), and a per-coordinate z-score would flatten the spectral
     decay of the codes, leaving an isotropic latent cloud too sparse to
-    interpolate at desk-scale sample counts. Returns
-    (surrogate, train_result_or_None).
+    interpolate at desk-scale sample counts.
+
+    The network has hidden layers of the widths in `hidden`. An optional
+    `test` pair (xs, ys) adds the relative test error after every epoch to
+    the training result. Returns (surrogate, train_result_or_None).
     """
     codes_in = encode_batch(pca_in, xs)
     codes_out = encode_batch(pca_out, ys)
@@ -99,37 +89,48 @@ def fit_surrogate(
     tmean, tstd = code_scaling_stats(codes_out)
     z = (codes_in - mean) / std
     zt = (codes_out - tmean) / tstd
-    if regressor_kind == "linear":
-        model = fit_linear(z, zt)
-        result = None
-    elif regressor_kind == "nn":
-        from .regressors import DEFAULT_HIDDEN, init_mlp
 
-        cfg = train_cfg or TrainConfig()
-        if init_model is None:
-            dims = [pca_in.d, *DEFAULT_HIDDEN, pca_out.d]
-            init_model = init_mlp(dims, cfg.seed)
-        result = train_mlp(init_model, z, zt, cfg, test_metric_fn)
-        model = result.model
-    else:
+    def surrogate(model):
+        return Surrogate(pca_in, pca_out, model, mean, std, tmean, tstd)
+
+    if regressor_kind == "linear":
+        return surrogate(fit_linear(z, zt)), None
+    if regressor_kind != "nn":
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
-    return Surrogate(pca_in, pca_out, model, mean, std, tmean, tstd), result
+    from .regressors import init_mlp  # looked up per call: perfbench's tracer wraps it
+
+    cfg = train_cfg or TrainConfig()
+    test_metric = None
+    if test is not None:
+        test_xs, test_ys = test
+        test_codes = (encode_batch(pca_in, test_xs) - mean) / std
+
+        def test_metric(mlp):
+            preds = _predict_codes(surrogate(mlp), test_codes)
+            ratios, _ = relative_errors(preds, test_ys, pca_out.weights)
+            return float(np.mean(ratios))
+
+    init = init_mlp([pca_in.d, *hidden, pca_out.d], cfg.seed)
+    result = train_mlp(init, z, zt, cfg, test_metric)
+    return surrogate(result.model), result
+
+
+def _predict_codes(sur: Surrogate, codes: np.ndarray) -> np.ndarray:
+    """Standardized input codes -> rows of output grid values."""
+    latents = np.atleast_2d(predict(sur.regressor, codes))
+    return decode_batch(sur.pca_out, sur.destandardize_targets(latents))
+
+
+def predict_batch(sur: Surrogate, xs: np.ndarray) -> np.ndarray:
+    return _predict_codes(sur, sur.standardize(encode_batch(sur.pca_in, xs)))
 
 
 def predict_function(sur: Surrogate, x: GridFunction) -> GridFunction:
     if x.domain != sur.pca_in.domain or x.n != sur.pca_in.n:
         raise ShapeError("input does not live on the surrogate's input grid")
-    code = encode_batch(sur.pca_in, x.values[None, :])
-    latent_out = sur.destandardize_targets(predict(sur.regressor, sur.standardize(code)))
     return GridFunction(
-        sur.pca_out.domain, sur.pca_out.n, decode_batch(sur.pca_out, latent_out)[0]
+        sur.pca_out.domain, sur.pca_out.n, predict_batch(sur, x.values[None, :])[0]
     )
-
-
-def predict_batch(sur: Surrogate, xs: np.ndarray) -> np.ndarray:
-    codes = sur.standardize(encode_batch(sur.pca_in, xs))
-    latents = np.atleast_2d(predict(sur.regressor, codes))
-    return decode_batch(sur.pca_out, sur.destandardize_targets(latents))
 
 
 def relative_errors(preds: np.ndarray, ys: np.ndarray, weights: np.ndarray):
@@ -148,7 +149,7 @@ def relative_test_error(sur: Surrogate, xs: np.ndarray, ys: np.ndarray) -> float
     if xs.shape[0] == 0:
         raise ValueError("empty test set")
     preds = predict_batch(sur, xs)
-    ratios, _ = relative_errors(preds, ys, _target_weights(sur.pca_out))
+    ratios, _ = relative_errors(preds, ys, sur.pca_out.weights)
     return float(np.mean(ratios))
 
 
@@ -184,7 +185,7 @@ def psi_pca_error(
         preds[i] = decode_batch(
             pca_out, encode_batch(pca_out, y_star.values[None, :])
         )[0]
-    ratios, _ = relative_errors(preds, ys, _target_weights(pca_out))
+    ratios, _ = relative_errors(preds, ys, pca_out.weights)
     return float(np.mean(ratios))
 
 
@@ -232,10 +233,6 @@ class RbSolver:
         return GridFunction(
             self.pca_out.domain, self.pca_out.n, coeffs @ self.pca_out.basis
         )
-
-
-def rb_galerkin_solve(pca_out: PcaModel, a: GridFunction, f: GridFunction) -> GridFunction:
-    return RbSolver(pca_out).solve(a, f)
 
 
 # ---------------------------------------------------------------------------

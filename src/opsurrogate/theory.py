@@ -138,7 +138,7 @@ def check_chebyshev_coverage(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     train = [sample_field(spec, n, derive_seed(seed, i)) for i in range(N_train)]
-    model = fit_pca(train, d)
+    model = fit_pca(np.stack([u.values for u in train]), train[0].domain, n, d)
     second_moment = float(np.mean([norm(u) ** 2 for u in train]))
     M = np.sqrt(second_moment / delta)
     inside = 0

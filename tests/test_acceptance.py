@@ -123,9 +123,10 @@ def test_criterion_2_pca_tail_identity(capsys):
         n = 64 if spec.kind == "mu_B" else 17
         count = int(rng.integers(20, 40))
         d = int(rng.integers(3, 12))
-        data = [sample_field(spec, n, seed=int(rng.integers(1 << 30)))
-                for _ in range(count)]
-        model = fit_pca(data, d)
+        fields = [sample_field(spec, n, seed=int(rng.integers(1 << 30)))
+                  for _ in range(count)]
+        data = np.stack([u.values for u in fields])
+        model = fit_pca(data, fields[0].domain, n, d)
         emp = empirical_projection_error(model, data)
         tail = float(np.sum(model.eigenvalues[d:]))
         worst = max(worst, abs(emp - tail) / tail)
@@ -289,8 +290,9 @@ def test_criterion_10_gradient_correctness(capsys):
 
 
 def test_criterion_11_lipschitz_chebyshev(capsys):
-    data = [sample_field(mu_g_spec(8), 17, seed=7000 + i) for i in range(40)]
-    pca = fit_pca(data, d=8)
+    data = np.stack([sample_field(mu_g_spec(8), 17, seed=7000 + i).values
+                     for i in range(40)])
+    pca = fit_pca(data, BOX2D, 17, d=8)
     lip = check_encoder_lipschitz(pca, trials=1000, seed=71)
     ratio = lip.statistics["worst_encoder_ratio"]
     cov_ok = True

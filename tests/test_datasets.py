@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opsurrogate.datasets import (
+    FormatError,
     ProblemConfig,
     fixed_coefficient,
     generate_dataset,
@@ -13,6 +14,8 @@ from opsurrogate.datasets import (
     write_dataset,
     write_meta,
 )
+from opsurrogate.grid import ShapeError
+from opsurrogate.pca import fit_pca, transfer_basis
 from opsurrogate.protocols import dataset_hash
 
 
@@ -84,8 +87,25 @@ def test_subsample_dataset_matches_coarse_sampling():
 def test_subsample_requires_nested_grids():
     ds = generate_dataset(ProblemConfig(problem="poisson", resolution=17,
                                         count=2, seed=6))
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError) as from_dataset:
         subsample_dataset(ds, 12)
+    # the same nesting rule, and error, as moving a PCA basis to a coarser grid
+    with pytest.raises(ShapeError) as from_basis:
+        transfer_basis(fit_pca(ds.xs, ds.config.domain, 17, d=2), 12)
+    assert str(from_dataset.value) == str(from_basis.value)
+
+
+def test_read_rejects_truncated_tensor(tmp_path):
+    ds = generate_dataset(ProblemConfig(problem="poisson", resolution=17,
+                                        count=4, seed=8))
+    path = tmp_path / "ds"
+    write_dataset(ds, str(path))
+    x = path / "x.f64"
+    x.write_bytes(x.read_bytes()[:96])
+    with pytest.raises(FormatError) as exc:
+        read_dataset(str(path))
+    message = str(exc.value)
+    assert str(x) in message and str(4 * 289 * 8) in message and "96" in message
 
 
 def test_fixed_coefficient_is_deterministic():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import opsurrogate
 from opsurrogate.cli import _THREAD_VARS, _pin_threads
-from opsurrogate.datasets import ProblemConfig, generate_dataset
+from opsurrogate.datasets import FormatError, ProblemConfig, generate_dataset
 from opsurrogate.harness import (
     FitConfig,
     evaluate,
@@ -112,6 +113,41 @@ def test_save_is_byte_identical(tmp_path, poisson_train):
     for name in sorted(os.listdir(a)):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_load_rejects_truncated_weight_file(tmp_path, poisson_train):
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=5, regressor="nn", epochs=1,
+                                                       seed=8, hidden=(8,)))
+    path = tmp_path / "model"
+    save_surrogate(sur, str(path))
+    w0 = path / "w0.f64"
+    size = w0.stat().st_size
+    w0.write_bytes(w0.read_bytes()[:-8])
+    with pytest.raises(FormatError) as exc:
+        load_surrogate(str(path))
+    message = str(exc.value)
+    assert str(w0) in message and str(size) in message and str(size - 8) in message
+
+
+def test_load_rejects_wrong_format_version(tmp_path, poisson_train):
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=5, regressor="linear"))
+    path = tmp_path / "model"
+    save_surrogate(sur, str(path))
+    meta = (path / "meta").read_text()
+    assert "format_version = 1\n" in meta
+    (path / "meta").write_text(meta.replace("format_version = 1\n", "format_version = 2\n"))
+    with pytest.raises(FormatError, match="format_version 2"):
+        load_surrogate(str(path))
+
+
+def test_save_rejects_mixed_weighted_flags(tmp_path, poisson_train):
+    # the model format stores one `weighted` flag for both PCAs
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=5, regressor="linear"))
+    mixed = dataclasses.replace(
+        sur, pca_out=dataclasses.replace(sur.pca_out, weighted=False))
+    with pytest.raises(ValueError, match="weighted"):
+        save_surrogate(mixed, str(tmp_path / "model"))
+    assert not (tmp_path / "model").exists()
 
 
 def test_transfer_surrogate_moves_grid(poisson_train):
@@ -255,3 +291,13 @@ def test_pin_threads_accepts_both_spellings(monkeypatch, flag):
     _pin_threads(["generate", *flag])
     assert {var: os.environ[var] for var in _THREAD_VARS} == \
         {var: "1" for var in _THREAD_VARS}
+
+
+def test_every_export_resolves():
+    # a name left in the lazy export table after its definition is deleted
+    # would only fail when first used
+    for name in opsurrogate.__all__:
+        assert getattr(opsurrogate, name) is not None, name
+    namespace = {}
+    exec("from opsurrogate import *", namespace)
+    assert set(opsurrogate.__all__) <= set(namespace)

@@ -14,6 +14,14 @@ from opsurrogate.pca import (
 from opsurrogate.random_fields import box_mode_stddevs, mu_g_spec, sample_gaussian_box
 
 
+def values(functions):
+    return np.stack([u.values for u in functions])
+
+
+def fit(functions, d):
+    return fit_pca(values(functions), functions[0].domain, functions[0].n, d)
+
+
 def mu_g_samples(n, count, base_seed, cutoff=8):
     spec = mu_g_spec(cutoff=cutoff)
     return [sample_gaussian_box(spec, n, seed=base_seed + i) for i in range(count)]
@@ -22,7 +30,7 @@ def mu_g_samples(n, count, base_seed, cutoff=8):
 def test_repeated_function_spectrum():
     rng = np.random.default_rng(0)
     u = GridFunction(BOX2D, 9, rng.standard_normal(81))
-    model = fit_pca([u] * 8, d=1)
+    model = fit([u] * 8, d=1)
     assert model.eigenvalues[0] == pytest.approx(norm(u) ** 2, rel=1e-12)
     assert np.max(np.abs(model.eigenvalues[1:])) < 1e-12
     phi1 = decode(model, np.array([1.0]))
@@ -38,7 +46,7 @@ def test_recovers_kl_spectrum():
     sig2 = np.sort(box_mode_stddevs(spec).reshape(-1) ** 2)[::-1]
     reps = 20
     top = np.array([
-        fit_pca([sample_gaussian_box(spec, 17, seed=1000 * r + i) for i in range(200)],
+        fit([sample_gaussian_box(spec, 17, seed=1000 * r + i) for i in range(200)],
                 d=3).eigenvalues[:3]
         for r in range(reps)
     ])
@@ -51,7 +59,7 @@ def test_recovers_kl_spectrum():
 
 def test_basis_orthonormality():
     data = mu_g_samples(17, 40, base_seed=10)
-    model = fit_pca(data, d=10)
+    model = fit(data, d=10)
     gram = np.array([[inner_product(decode(model, np.eye(10)[i]),
                                     decode(model, np.eye(10)[j]))
                       for j in range(10)] for i in range(10)])
@@ -60,14 +68,14 @@ def test_basis_orthonormality():
 
 def test_sign_convention():
     data = mu_g_samples(17, 30, base_seed=77)
-    model = fit_pca(data, d=8)
+    model = fit(data, d=8)
     for row in model.basis:
         assert row[np.argmax(np.abs(row))] > 0
 
 
 def test_encode_basis_gives_standard_vectors():
     data = mu_g_samples(17, 30, base_seed=20)
-    model = fit_pca(data, d=6)
+    model = fit(data, d=6)
     for k in range(6):
         e = encode(model, decode(model, np.eye(6)[k]))
         assert np.max(np.abs(e - np.eye(6)[k])) < 1e-12
@@ -75,7 +83,7 @@ def test_encode_basis_gives_standard_vectors():
 
 def test_encode_bessel_and_zero():
     data = mu_g_samples(17, 30, base_seed=30)
-    model = fit_pca(data, d=6)
+    model = fit(data, d=6)
     u = sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=999)
     assert np.linalg.norm(encode(model, u)) <= norm(u) * (1 + 1e-12)
     z = GridFunction(BOX2D, 17, np.zeros(17 * 17))
@@ -84,7 +92,7 @@ def test_encode_bessel_and_zero():
 
 def test_decode_isometry_and_idempotence():
     data = mu_g_samples(17, 30, base_seed=40)
-    model = fit_pca(data, d=6)
+    model = fit(data, d=6)
     rng = np.random.default_rng(3)
     s, t = rng.standard_normal(6), rng.standard_normal(6)
     diff = GridFunction(BOX2D, 17, decode(model, s).values - decode(model, t).values)
@@ -98,7 +106,7 @@ def test_decode_isometry_and_idempotence():
 
 def test_pythagoras():
     data = mu_g_samples(17, 30, base_seed=50)
-    model = fit_pca(data, d=6)
+    model = fit(data, d=6)
     u = sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=1234)
     s = encode(model, u)
     resid = GridFunction(BOX2D, 17, u.values - decode(model, s).values)
@@ -109,27 +117,28 @@ def test_pythagoras():
 def test_projection_error_matches_eigenvalue_tail():
     data = mu_g_samples(17, 40, base_seed=60)
     for d in (5, 10, 20):
-        model = fit_pca(data, d=d)
-        err = empirical_projection_error(model, data)
+        model = fit(data, d=d)
+        err = empirical_projection_error(model, values(data))
         tail = float(np.sum(model.eigenvalues[d:]))
         assert err == pytest.approx(tail, rel=1e-10)
 
 
 def test_projection_error_monotone_and_full_rank_zero():
     data = mu_g_samples(17, 25, base_seed=70)
-    errs = [empirical_projection_error(fit_pca(data, d=d), data) for d in (2, 5, 10, 15)]
+    errs = [empirical_projection_error(fit(data, d=d), values(data))
+            for d in (2, 5, 10, 15)]
     assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
-    full = fit_pca(data, d=25)
+    full = fit(data, d=25)
     total = float(np.sum(full.eigenvalues))
-    assert empirical_projection_error(full, data) < 1e-10 * total
+    assert empirical_projection_error(full, values(data)) < 1e-10 * total
 
 
 def test_fit_is_permutation_invariant():
     data = mu_g_samples(17, 30, base_seed=80)
     rng = np.random.default_rng(8)
     perm = rng.permutation(len(data))
-    m1 = fit_pca(data, d=6)
-    m2 = fit_pca([data[i] for i in perm], d=6)
+    m1 = fit(data, d=6)
+    m2 = fit([data[i] for i in perm], d=6)
     assert np.max(np.abs(m1.eigenvalues[:6] - m2.eigenvalues[:6])) < 1e-12
     assert np.max(np.abs(m1.basis - m2.basis)) < 1e-8
 
@@ -137,7 +146,9 @@ def test_fit_is_permutation_invariant():
 def test_config_and_rank_errors():
     data = mu_g_samples(17, 5, base_seed=90)
     with pytest.raises(PcaConfigError):
-        fit_pca(data, d=6)
+        fit(data, d=6)
+    with pytest.raises(ShapeError):
+        fit_pca(values(data), BOX2D, 9, d=2)
     # rank-2 data cannot support d = 3
     rng = np.random.default_rng(9)
     a = GridFunction(BOX2D, 9, rng.standard_normal(81))
@@ -145,13 +156,13 @@ def test_config_and_rank_errors():
     mix = [GridFunction(BOX2D, 9, x * a.values + y * b.values)
            for x, y in [(1, 0), (0, 1), (1, 1), (2, -1)]]
     with pytest.raises(RankDeficiencyError) as exc:
-        fit_pca(mix, d=3)
+        fit(mix, d=3)
     assert "3" in str(exc.value) or "2" in str(exc.value)
 
 
 def test_transfer_same_resolution_is_identity():
     data = mu_g_samples(17, 20, base_seed=100)
-    model = fit_pca(data, d=5)
+    model = fit(data, d=5)
     moved, resid = transfer_basis(model, 17)
     assert np.array_equal(moved.basis, model.basis)
     assert resid < 1e-8
@@ -159,7 +170,7 @@ def test_transfer_same_resolution_is_identity():
 
 def test_transfer_33_to_65_gram_residual_small():
     data = mu_g_samples(33, 60, base_seed=110)
-    model = fit_pca(data, d=10)
+    model = fit(data, d=10)
     moved, resid = transfer_basis(model, 65)
     assert moved.n == 65
     assert resid < 1e-2
@@ -168,6 +179,6 @@ def test_transfer_33_to_65_gram_residual_small():
 
 def test_transfer_to_non_nested_coarse_grid_rejected():
     data = mu_g_samples(17, 20, base_seed=120)
-    model = fit_pca(data, d=5)
+    model = fit(data, d=5)
     with pytest.raises(ShapeError):
         transfer_basis(model, 12)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from opsurrogate.datasets import ProblemConfig, generate_dataset
 from opsurrogate.grid import inner_product, norm, quadrature_weights, subsample
 from opsurrogate.random_fields import (
     ConfigError,
     box_mode_stddevs,
+    coeff_model_basis,
     coeff_model_modes,
     coeff_model_spec,
     coeff_model_sup_norms,
@@ -14,7 +16,6 @@ from opsurrogate.random_fields import (
     mu_l_spec,
     mu_p_spec,
     nyquist_cutoff,
-    sample_coeff_model,
     sample_field,
     sample_gaussian_box,
     sample_mu_b,
@@ -151,12 +152,15 @@ def test_coeff_model_tie_breaking_lexicographic():
 
 
 def test_coeff_model_sample_bounds_and_determinism():
-    spec = coeff_model_spec(cutoff=8)
-    xi, f = sample_coeff_model(spec, 20, 17, seed=9)
-    assert xi.shape == (20,)
-    assert np.all(np.abs(xi) <= 1.0)
-    xi2, f2 = sample_coeff_model(spec, 20, 17, seed=9)
-    assert np.array_equal(xi, xi2) and np.array_equal(f.values, f2.values)
+    cfg = ProblemConfig(problem="coeff_model", resolution=17, count=3, seed=9,
+                        cutoff=8, coeff_dim=20)
+    ds = generate_dataset(cfg)
+    assert ds.xis.shape == (3, 20)
+    assert np.all(np.abs(ds.xis) <= 1.0)
+    # inputs are the assembled fields sum_j xi_j phi_j
+    assert np.array_equal(ds.xs, ds.xis @ coeff_model_basis(cfg.measure(), 20, 17))
+    again = generate_dataset(cfg)
+    assert np.array_equal(ds.xis, again.xis) and np.array_equal(ds.xs, again.xs)
 
 
 def test_coeff_model_sup_norm_partial_sums_slow_down():

@@ -4,17 +4,18 @@ import pytest
 from opsurrogate.grid import BOX2D, GridFunction, norm, quadrature_weights
 from opsurrogate.pca import decode, encode, encode_batch, fit_pca
 from opsurrogate.random_fields import coeff_model_spec, mu_g_spec, sample_gaussian_box
-from opsurrogate.regressors import LinearModel, fit_linear
+from opsurrogate.regressors import LinearModel, TrainConfig, fit_linear
 from opsurrogate.solvers import solve_poisson
 from opsurrogate.surrogate import (
     RbSolver,
     Surrogate,
+    code_scaling_stats,
+    fit_surrogate,
+    predict_batch,
     predict_function,
     psi_pca_error,
-    rb_galerkin_solve,
     relative_errors,
     relative_test_error,
-    standardization_stats,
     taylor_truncation_poisson,
 )
 
@@ -35,10 +36,10 @@ def poisson_data():
 
 
 def build_linear_surrogate(xs, ys, d):
-    pca_in = fit_pca([GridFunction(BOX2D, 17, v) for v in xs], d)
-    pca_out = fit_pca([GridFunction(BOX2D, 17, v) for v in ys], d)
+    pca_in = fit_pca(xs, BOX2D, 17, d)
+    pca_out = fit_pca(ys, BOX2D, 17, d)
     codes_in = encode_batch(pca_in, xs)
-    mean, std = standardization_stats(codes_in)
+    mean, std = code_scaling_stats(codes_in)
     codes_out = encode_batch(pca_out, ys)
     reg = fit_linear((codes_in - mean) / std, codes_out)
     return Surrogate(pca_in, pca_out, reg, mean, std)
@@ -76,7 +77,6 @@ def test_relative_error_scale_invariance(poisson_data):
     xs, ys = poisson_data
     sur = build_linear_surrogate(xs, ys, d=6)
     w = quadrature_weights(BOX2D, 17)
-    from opsurrogate.surrogate import predict_batch
     preds = predict_batch(sur, xs[:10])
     r1, _ = relative_errors(preds, ys[:10], w)
     r2, _ = relative_errors(7.5 * preds, 7.5 * ys[:10], w)
@@ -94,6 +94,33 @@ def test_relative_errors_skips_zero_norm_targets(poisson_data):
     assert len(ratios) == 3
 
 
+def test_fit_surrogate_nn_hidden_and_test_history(poisson_data):
+    xs, ys = poisson_data
+    lin = build_linear_surrogate(xs, ys, d=6)
+    sur, result = fit_surrogate(xs[:40], ys[:40], lin.pca_in, lin.pca_out, "nn",
+                                TrainConfig(epochs=3), hidden=(16,),
+                                test=(xs[40:], ys[40:]))
+    assert sur.regressor.dims == [6, 16, 6]
+    assert len(result.test_metric) == len(result.train_loss) == 4
+    # the per-epoch metric runs the prediction path of the final surrogate
+    assert result.test_metric[-1] == relative_test_error(sur, xs[40:], ys[40:])
+
+
+def test_predict_function_matches_predict_batch_row(poisson_data):
+    xs, ys = poisson_data
+    lin = build_linear_surrogate(xs, ys, d=6)
+    nn, _ = fit_surrogate(xs, ys, lin.pca_in, lin.pca_out, "nn",
+                          TrainConfig(epochs=2), hidden=(16, 16))
+    for sur in (lin, nn):
+        rows = predict_batch(sur, xs[:8])
+        for x, row in zip(xs[:8], rows):
+            out = predict_function(sur, GridFunction(BOX2D, 17, x)).values
+            assert np.array_equal(out, predict_batch(sur, x[None, :])[0])
+            # BLAS may take another kernel for one row than for many, so a
+            # row of a larger batch agrees to rounding only
+            assert np.max(np.abs(out - row)) <= 1e-12 * np.max(np.abs(row))
+
+
 def test_predict_function_latent_isometry(poisson_data):
     xs, ys = poisson_data
     sur = build_linear_surrogate(xs, ys, d=6)
@@ -107,8 +134,7 @@ def test_predict_function_latent_isometry(poisson_data):
 
 def test_psi_pca_error_monotone_in_d(poisson_data):
     xs, ys = poisson_data
-    pcas = {d: (fit_pca([GridFunction(BOX2D, 17, v) for v in xs], d),
-                fit_pca([GridFunction(BOX2D, 17, v) for v in ys], d))
+    pcas = {d: (fit_pca(xs, BOX2D, 17, d), fit_pca(ys, BOX2D, 17, d))
             for d in (4, 8, 16)}
 
     errs = [psi_pca_error(pcas[d][0], pcas[d][1], solve_poisson, xs[:12], ys[:12])
@@ -124,18 +150,18 @@ def test_rb_recovers_solution_in_span():
     f = GridFunction(BOX2D, n, np.ones(n * n))
     from opsurrogate.solvers import EllipticProblem, solve_darcy
     truth = solve_darcy(EllipticProblem(a, f))
-    pca = fit_pca([truth], d=1)
-    out = rb_galerkin_solve(pca, a, f)
+    pca = fit_pca(truth.values[None, :], BOX2D, n, d=1)
+    out = RbSolver(pca).solve(a, f)
     rel = norm(GridFunction(BOX2D, n, out.values - truth.values)) / norm(truth)
     assert rel < 1e-2
 
 
 def test_rb_zero_forcing_gives_zero(poisson_data):
     xs, ys = poisson_data
-    pca = fit_pca([GridFunction(BOX2D, 17, v) for v in ys], d=5)
+    pca = fit_pca(ys, BOX2D, 17, d=5)
     a = GridFunction(BOX2D, 17, np.ones(17 * 17))
     f = GridFunction(BOX2D, 17, np.zeros(17 * 17))
-    out = rb_galerkin_solve(pca, a, f)
+    out = RbSolver(pca).solve(a, f)
     assert np.max(np.abs(out.values)) < 1e-12
 
 

@@ -84,8 +84,8 @@ def test_chebyshev_one_dimensional_gaussian_oracle():
 
 def test_encoder_lipschitz_report():
     spec = mu_g_spec(cutoff=8)
-    data = [sample_gaussian_box(spec, 17, seed=600 + i) for i in range(40)]
-    pca = fit_pca(data, d=8)
+    data = np.stack([sample_gaussian_box(spec, 17, seed=600 + i).values for i in range(40)])
+    pca = fit_pca(data, BOX2D, 17, d=8)
     report = check_encoder_lipschitz(pca, trials=500, seed=6)
     assert report.passed
     assert report.statistics["worst_encoder_ratio"] <= 1 + 1e-10
@@ -93,8 +93,8 @@ def test_encoder_lipschitz_report():
 
 def test_encoder_equality_and_orthogonal_cases():
     spec = mu_g_spec(cutoff=8)
-    data = [sample_gaussian_box(spec, 17, seed=700 + i) for i in range(40)]
-    pca = fit_pca(data, d=8)
+    data = np.stack([sample_gaussian_box(spec, 17, seed=700 + i).values for i in range(40)])
+    pca = fit_pca(data, BOX2D, 17, d=8)
     from opsurrogate.pca import decode
 
     rng = np.random.default_rng(7)
