@@ -15,10 +15,10 @@ train33 = subsample_dataset(fine_train, 33)
 test33 = subsample_dataset(fine_test, 33)
 
 sur, _ = fit_from_dataset(train33, FitConfig(d=15, regressor="linear", seed=6))
-err_native, _ = evaluate(sur, test33)
+err_native, _, _ = evaluate(sur, test33)
 
 moved, gram_residual = transfer_surrogate(sur, 65)
-err_moved, _ = evaluate(moved, fine_test)
+err_moved, _, _ = evaluate(moved, fine_test)
 
 print(f"native  (train 33, eval 33): {err_native:.4f}")
 print(f"moved   (train 33, eval 65): {err_moved:.4f}")

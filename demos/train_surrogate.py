@@ -17,7 +17,7 @@ for reg, extra in [("linear", {}), ("nn", {"epochs": 40})]:
     t0 = time.time()
     sur, result = fit_from_dataset(train, FitConfig(d=20, regressor=reg,
                                                     seed=3, **extra))
-    err, online = evaluate(sur, test)
+    err, online, _ = evaluate(sur, test)
     note = ""
     if result is not None:
         note = f", lr {result.learning_rate}, final mse {result.train_loss[-1]:.2e}"

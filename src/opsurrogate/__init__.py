@@ -54,6 +54,7 @@ _EXPORTS = {
     "solvers": (
         "BurgersProblem",
         "EllipticProblem",
+        "darcy_solver",
         "oracle_burgers_colehopf",
         "solve_burgers",
         "solve_darcy",

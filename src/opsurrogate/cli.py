@@ -159,7 +159,7 @@ def cmd_eval(args) -> int:
     if test.config.count == 0 or test.xs.shape[0] == 0:
         print("error: empty test set", file=sys.stderr)
         return 2
-    error, online = evaluate(sur, test, allow_transfer=args.transfer)
+    error, online, skipped = evaluate(sur, test, allow_transfer=args.transfer)
     row = {
         "problem": test.config.problem,
         "resolution": test.resolution,
@@ -168,12 +168,19 @@ def cmd_eval(args) -> int:
         "regressor": "linear" if type(sur.regressor).__name__ == "LinearModel" else "nn",
         "relative_error": repr(error),
         "online_seconds": repr(online),
+        "skipped_zero_norm": skipped,
     }
     _print_row(row)
     if args.csv:
-        with open(args.csv, "a", newline="") as fh:
+        with open(args.csv, "a+", newline="") as fh:
+            fh.seek(0)
+            header = fh.readline().rstrip("\r\n")
+            if header and header != ",".join(row):
+                print(f"error: {args.csv} has the columns {header!r}, not "
+                      f"{','.join(row)!r}; append to a new file", file=sys.stderr)
+                return 2
             w = csv.DictWriter(fh, fieldnames=list(row))
-            if fh.tell() == 0:
+            if not header:
                 w.writeheader()
             w.writerow(row)
     return 0
@@ -215,13 +222,14 @@ def cmd_transfer(args) -> int:
     sur = load_surrogate(args.model)
     test = read_dataset(args.dataset)
     moved, gram_residual = transfer_surrogate(sur, test.resolution)
-    error, online = evaluate(moved, test)
+    error, online, skipped = evaluate(moved, test)
     row = {
         "source_n": sur.pca_in.n,
         "target_n": test.resolution,
         "gram_residual": repr(gram_residual),
         "relative_error": repr(error),
         "online_seconds": repr(online),
+        "skipped_zero_norm": skipped,
     }
     _print_row(row)
     return 0
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="relative test error of a saved surrogate; "
                        "CSV columns: problem,resolution,d,N,regressor,"
-                       "relative_error,online_seconds")
+                       "relative_error,online_seconds,skipped_zero_norm")
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
@@ -378,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("transfer", help="evaluate a surrogate on another mesh "
-                       "by moving its PCA bases")
+                       "by moving its PCA bases; CSV columns: source_n,target_n,"
+                       "gram_residual,relative_error,online_seconds,"
+                       "skipped_zero_norm")
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)

@@ -27,7 +27,7 @@ from .random_fields import (
     nyquist_cutoff,
     sample_field,
 )
-from .solvers import EllipticProblem, solve_burgers_batch, solve_darcy
+from .solvers import EllipticProblem, darcy_solver, solve_burgers_batch, solve_darcy
 
 FORMAT_VERSION = 1
 
@@ -58,7 +58,6 @@ class ProblemConfig:
     beta: float = 1e-2              # Burgers viscosity
     t_final: float = 1.0
     coeff_dim: int = 64             # modes kept in the coefficient model
-    solver_rtol: float = 1e-10
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -135,20 +134,15 @@ def generate_dataset(cfg: ProblemConfig) -> Dataset:
         return Dataset(cfg, xs, solve_burgers_batch(xs, cfg.beta, cfg.t_final))
 
     ones = GridFunction(BOX2D, n, np.ones(n * n))
-    a_fixed = (
-        fixed_coefficient(n, cfg.cutoff) if cfg.problem == "linear_elliptic" else None
-    )
+    if cfg.problem in ("linear_elliptic", "poisson", "coeff_model"):
+        # forcing -> solution through one shared operator, factored once
+        a = fixed_coefficient(n, cfg.cutoff) if cfg.problem == "linear_elliptic" else ones
+        return Dataset(cfg, xs, darcy_solver(a)(xs), xis=xis)
+    # darcy_lognormal, darcy_piecewise: coefficient -> solution, f = 1
     ys = np.empty_like(xs)
     for i in range(count):
-        x = GridFunction(BOX2D, n, xs[i])
-        if cfg.problem == "linear_elliptic":
-            prob = EllipticProblem(a_fixed, x)
-        elif cfg.problem in ("poisson", "coeff_model"):
-            prob = EllipticProblem(ones, x)
-        else:  # darcy_lognormal, darcy_piecewise: coefficient -> solution, f = 1
-            prob = EllipticProblem(x, ones)
-        ys[i] = solve_darcy(prob, rtol=cfg.solver_rtol).values
-    return Dataset(cfg, xs, ys, xis=xis)
+        ys[i] = solve_darcy(EllipticProblem(GridFunction(BOX2D, n, xs[i]), ones)).values
+    return Dataset(cfg, xs, ys)
 
 
 def subsample_dataset(ds: Dataset, target_n: int) -> Dataset:
@@ -238,7 +232,6 @@ def write_dataset(ds: Dataset, directory: str):
         "beta": cfg.beta,
         "t_final": cfg.t_final,
         "coeff_dim": cfg.coeff_dim,
-        "solver_rtol": cfg.solver_rtol,
         "x_shape": f"{ds.xs.shape[0]}x{ds.xs.shape[1]}",
         "y_shape": f"{ds.ys.shape[0]}x{ds.ys.shape[1]}",
         "domain": cfg.domain,
@@ -255,6 +248,7 @@ def _parse_shape(s: str):
 
 
 def read_dataset(directory: str) -> Dataset:
+    # unread keys are ignored, so directories with retired meta keys still load
     meta = read_bundle_meta(directory, FORMAT_VERSION)
     cfg = ProblemConfig(
         problem=meta["problem"],
@@ -265,7 +259,6 @@ def read_dataset(directory: str) -> Dataset:
         beta=float(meta["beta"]),
         t_final=float(meta["t_final"]),
         coeff_dim=int(meta["coeff_dim"]),
-        solver_rtol=float(meta["solver_rtol"]),
     )
     xs = read_tensor(directory, "x", _parse_shape(meta["x_shape"]))
     ys = read_tensor(directory, "y", _parse_shape(meta["y_shape"]))

@@ -154,7 +154,8 @@ def transfer_surrogate(sur: Surrogate, target_n: int) -> tuple[Surrogate, float]
 
 
 def evaluate(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False):
-    """Relative test error plus per-prediction online seconds."""
+    """Relative test error, per-prediction online seconds, and the number of
+    zero-norm test targets left out of the error."""
     if test_ds.resolution != sur.pca_in.n:
         if not allow_transfer:
             raise ValueError(
@@ -163,9 +164,9 @@ def evaluate(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False):
             )
         sur, _ = transfer_surrogate(sur, test_ds.resolution)
     t0 = time.perf_counter()
-    error = relative_test_error(sur, test_ds.xs, test_ds.ys)
+    error, skipped = relative_test_error(sur, test_ds.xs, test_ds.ys)
     online = (time.perf_counter() - t0) / test_ds.xs.shape[0]
-    return error, online
+    return error, online, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def run_sweep(
             }
             try:
                 sur, result = fit_from_dataset(train, replace(cell_fit, regressor=reg))
-                error, online = evaluate(sur, test)
+                error, online, _ = evaluate(sur, test)
                 row.update(
                     relative_error=error, online_seconds=online, status="ok"
                 )

@@ -85,7 +85,7 @@ def run_chkifa_comparison(
             }
         )
         sur, _ = fit_from_dataset(train_full.head(b), FitConfig(d=b, regressor="linear"))
-        err = relative_test_error(sur, test.xs, test.ys)
+        err, _ = relative_test_error(sur, test.xs, test.ys)
         rows.append(
             {
                 "method": "pca_linear", "d": b, "budget": b,

@@ -17,7 +17,7 @@ from .grid import GridFunction, ShapeError, quadrature_weights
 from .pca import PcaModel, decode_batch, encode_batch
 from .random_fields import MeasureSpec, coeff_model_basis
 from .regressors import DEFAULT_HIDDEN, TrainConfig, fit_linear, predict, train_mlp
-from .solvers import NumericalError, solve_poisson
+from .solvers import NumericalError, darcy_solver
 
 
 @dataclass
@@ -134,23 +134,27 @@ def predict_function(sur: Surrogate, x: GridFunction) -> GridFunction:
 
 
 def relative_errors(preds: np.ndarray, ys: np.ndarray, weights: np.ndarray):
-    """Per-sample ||pred - y|| / ||y||; zero-norm targets are skipped."""
+    """Per-sample ||pred - y|| / ||y|| and the number of zero-norm targets,
+    which are skipped; raises ValueError if every target has zero norm."""
     err = np.sqrt(np.sum((preds - ys) * weights * (preds - ys), axis=1))
     ynorm = np.sqrt(np.sum(ys * weights * ys, axis=1))
     keep = ynorm > 0.0
     skipped = int(np.sum(~keep))
+    if skipped and skipped == keep.size:
+        raise ValueError(f"all {skipped} targets have zero norm")
     if skipped:
         warnings.warn(f"skipped {skipped} zero-norm targets", RuntimeWarning)
     return err[keep] / ynorm[keep], skipped
 
 
-def relative_test_error(sur: Surrogate, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Monte Carlo mean of ||surrogate(x) - y|| / ||y|| over test pairs."""
+def relative_test_error(sur: Surrogate, xs: np.ndarray, ys: np.ndarray):
+    """Monte Carlo mean of ||surrogate(x) - y|| / ||y|| over test pairs, and
+    the number of zero-norm targets left out of it."""
     if xs.shape[0] == 0:
         raise ValueError("empty test set")
     preds = predict_batch(sur, xs)
-    ratios, _ = relative_errors(preds, ys, sur.pca_out.weights)
-    return float(np.mean(ratios))
+    ratios, skipped = relative_errors(preds, ys, sur.pca_out.weights)
+    return float(np.mean(ratios)), skipped
 
 
 def psi_pca_error(
@@ -253,11 +257,8 @@ class TaylorPredictor:
         return xi[:, :m] @ self.etas[:m]
 
 
-def taylor_truncation_poisson(
-    spec: MeasureSpec, K: int, n: int, rtol: float = 1e-12
-) -> TaylorPredictor:
-    basis = coeff_model_basis(spec, K, n)
-    etas = np.empty((K, n * n))
-    for j in range(K):
-        etas[j] = solve_poisson(GridFunction("box2d", n, basis[j]), rtol=rtol).values
-    return TaylorPredictor(K, n, etas)
+def taylor_truncation_poisson(spec: MeasureSpec, K: int, n: int) -> TaylorPredictor:
+    """eta_j = Poisson solve of the j-th basis function, all K against one
+    factorisation."""
+    ones = GridFunction("box2d", n, np.ones(n * n))
+    return TaylorPredictor(K, n, darcy_solver(ones)(coeff_model_basis(spec, K, n)))

@@ -95,7 +95,7 @@ def burgers_256():
 def fit_and_eval(train, test, d, regressor, epochs, **kw):
     cfg = FitConfig(d=d, regressor=regressor, epochs=epochs, **kw)
     sur, _ = fit_from_dataset(train, cfg)
-    err, _ = evaluate(sur, test)
+    err, _, _ = evaluate(sur, test)
     return err, sur
 
 
@@ -239,8 +239,8 @@ def test_criterion_8_mesh_transfer(darcy_piecewise_65, darcy_lognormal_65,
         test33 = subsample_dataset(test65, 33)
         cfg = FitConfig(d=20, regressor="nn", epochs=EPOCHS_TRANSFER)
         sur, _ = fit_from_dataset(train33, cfg)
-        native, _ = evaluate(sur, test33)
-        moved, _ = evaluate(sur, test65, allow_transfer=True)
+        native, _, _ = evaluate(sur, test33)
+        moved, _, _ = evaluate(sur, test65, allow_transfer=True)
         increase = moved - native
         ok = ok and increase <= 0.05
         details.append(f"{name}: native(33) {native:.4f}, "

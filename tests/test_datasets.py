@@ -130,6 +130,55 @@ def test_linear_elliptic_uses_frozen_coefficient():
     assert np.max(np.abs(y0.values - ds1.ys[0])) < 1e-10
 
 
+@pytest.mark.parametrize("problem", ["linear_elliptic", "poisson", "coeff_model"])
+def test_shared_operator_rows_equal_single_solves(problem):
+    from opsurrogate.grid import BOX2D, GridFunction
+    from opsurrogate.solvers import EllipticProblem, solve_darcy
+    ds = generate_dataset(ProblemConfig(problem=problem, resolution=17, count=4,
+                                        seed=5, coeff_dim=10))
+    a = (fixed_coefficient(17) if problem == "linear_elliptic"
+         else GridFunction(BOX2D, 17, np.ones(17 * 17)))
+    for x, y in zip(ds.xs, ds.ys):
+        u = solve_darcy(EllipticProblem(a, GridFunction(BOX2D, 17, x)))
+        assert np.array_equal(u.values, y)
+
+
+@pytest.mark.parametrize("problem", ["linear_elliptic", "poisson", "coeff_model",
+                                     "darcy_lognormal", "darcy_piecewise"])
+def test_elliptic_samples_solve_the_assembled_system(problem):
+    from opsurrogate.grid import BOX2D, GridFunction
+    from opsurrogate.solvers import assemble_darcy_system
+    n = 17
+    ds = generate_dataset(ProblemConfig(problem=problem, resolution=n, count=4,
+                                        seed=6, coeff_dim=10))
+    ones = GridFunction(BOX2D, n, np.ones(n * n))
+    for x, y in zip(ds.xs, ds.ys):
+        x = GridFunction(BOX2D, n, x)
+        if problem.startswith("darcy_"):  # coefficient -> solution, f = 1
+            a, f = x, ones
+        else:
+            a, f = (fixed_coefficient(n) if problem == "linear_elliptic" else ones), x
+        b = f.as_2d()[1:-1, 1:-1].reshape(-1)
+        u = y.reshape(n, n)
+        assert np.all(u[[0, -1], :] == 0.0) and np.all(u[:, [0, -1]] == 0.0)
+        r = assemble_darcy_system(a) @ u[1:-1, 1:-1].reshape(-1) - b
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_read_ignores_legacy_solver_rtol(tmp_path):
+    cfg = ProblemConfig(problem="poisson", resolution=17, count=3, seed=4)
+    ds = generate_dataset(cfg)
+    path = str(tmp_path / "old")
+    write_dataset(ds, path)
+    meta = read_meta(os.path.join(path, "meta"))
+    assert "solver_rtol" not in meta
+    meta["solver_rtol"] = 1e-10  # written by versions with an iterative solver
+    write_meta(os.path.join(path, "meta"), meta)
+    back = read_dataset(path)
+    assert back.config == cfg
+    assert np.array_equal(back.ys, ds.ys)
+
+
 def test_dataset_hash_stability():
     cfg = ProblemConfig(problem="poisson", resolution=17, count=3, seed=9)
     h1 = dataset_hash(generate_dataset(cfg))

@@ -71,16 +71,32 @@ def test_full_rank_linear_fit_is_exact(poisson_train):
     small = generate_dataset(ProblemConfig(problem="poisson", resolution=17,
                                            count=24, seed=13))
     sur, _ = fit_from_dataset(small, FitConfig(d=24, regressor="linear", seed=2))
-    err, _ = evaluate(sur, small)
+    err, _, _ = evaluate(sur, small)
     assert err < 1e-6
 
 
 def test_train_error_below_test_error(poisson_train, poisson_test):
     sur, _ = fit_from_dataset(poisson_train, FitConfig(d=10, regressor="linear",
                                                        seed=3))
-    train_err, _ = evaluate(sur, poisson_train)
-    test_err, _ = evaluate(sur, poisson_test)
+    train_err, _, _ = evaluate(sur, poisson_train)
+    test_err, _, _ = evaluate(sur, poisson_test)
     assert train_err <= test_err
+
+
+def test_evaluate_counts_zero_norm_targets(poisson_train, poisson_test):
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=10, regressor="linear",
+                                                       seed=3))
+    keep = np.ones(poisson_test.ys.shape[0], dtype=bool)
+    keep[[0, 5]] = False
+    ys = np.where(keep[:, None], poisson_test.ys, 0.0)
+    with pytest.warns(RuntimeWarning):
+        err, _, skipped = evaluate(sur, dataclasses.replace(poisson_test, ys=ys))
+    assert skipped == 2
+    kept = dataclasses.replace(poisson_test, xs=poisson_test.xs[keep], ys=ys[keep])
+    kept_err, _, kept_skipped = evaluate(sur, kept)
+    assert err == pytest.approx(kept_err, rel=1e-14) and kept_skipped == 0
+    with pytest.raises(ValueError, match="zero norm"):
+        evaluate(sur, dataclasses.replace(poisson_test, ys=np.zeros_like(ys)))
 
 
 def test_nn_loss_history_recorded(poisson_train, poisson_test):
@@ -158,7 +174,7 @@ def test_transfer_surrogate_moves_grid(poisson_train):
     moved, resid = transfer_surrogate(sur, 33)
     assert moved.pca_in.n == 33
     assert resid < 1e-1
-    err, _ = evaluate(moved, fine_test)
+    err, _, _ = evaluate(moved, fine_test)
     assert np.isfinite(err)
     with pytest.raises(ValueError):
         evaluate(sur, fine_test)
@@ -231,14 +247,33 @@ def test_cli_fit_eval_pipeline(tmp_path):
     run_cli(["fit", "--dataset", str(tmp_path / "train"), "--d", "6",
              "--regressor", "linear", "--threads", "1",
              "--out", str(tmp_path), "--name", "model"], cwd=str(tmp_path))
+    results = tmp_path / "results.csv"
     proc = run_cli(["eval", "--model", str(tmp_path / "model"),
-                    "--dataset", str(tmp_path / "test"), "--threads", "1"],
+                    "--dataset", str(tmp_path / "test"), "--threads", "1",
+                    "--csv", str(results)],
                    cwd=str(tmp_path))
     lines = proc.stdout.strip().splitlines()
     header = lines[0].split(",")
     assert header[:5] == ["problem", "resolution", "d", "N", "regressor"]
-    err = float(dict(zip(header, lines[1].split(",")))["relative_error"])
-    assert 0 <= err < 1
+    row = dict(zip(header, lines[1].split(",")))
+    assert 0 <= float(row["relative_error"]) < 1
+    assert row["skipped_zero_norm"] == "0"
+    assert results.read_text().splitlines()[0] == lines[0]
+    # appending under another header would misalign the columns
+    old = "problem,resolution,d,N,regressor,relative_error,online_seconds\n"
+    results.write_text(old)
+    proc = run_cli(["eval", "--model", str(tmp_path / "model"),
+                    "--dataset", str(tmp_path / "test"), "--csv", str(results)],
+                   cwd=str(tmp_path), check=False)
+    assert proc.returncode == 2 and "append to a new file" in proc.stderr
+    assert results.read_text() == old
+    proc = run_cli(["transfer", "--model", str(tmp_path / "model"),
+                    "--dataset", str(tmp_path / "test"), "--threads", "1"],
+                   cwd=str(tmp_path))
+    header, values = (line.split(",") for line in proc.stdout.strip().splitlines())
+    moved = dict(zip(header, values))
+    assert moved["relative_error"] == row["relative_error"]
+    assert moved["skipped_zero_norm"] == "0"
 
 
 def test_cli_eval_empty_test_set_is_usage_error(tmp_path):

@@ -6,6 +6,7 @@ from opsurrogate.solvers import (
     BurgersProblem,
     DomainError,
     EllipticProblem,
+    darcy_solver,
     oracle_burgers_colehopf,
     solve_burgers,
     solve_darcy,
@@ -68,6 +69,11 @@ def test_darcy_symmetry_under_transpose():
     f = from_callable(BOX2D, n, lambda s1, s2: np.exp(-(s1 - s2) ** 2))
     u = solve_darcy(EllipticProblem(a, f)).values.reshape(n, n)
     assert np.max(np.abs(u - u.T)) < 1e-9
+
+
+def test_darcy_solver_maps_empty_batch_to_empty_batch():
+    ones = GridFunction(BOX2D, 17, np.ones(17 * 17))
+    assert darcy_solver(ones)(np.zeros((0, 17 * 17))).shape == (0, 17 * 17)
 
 
 def test_darcy_rejects_nonpositive_coefficient():

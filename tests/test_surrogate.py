@@ -3,7 +3,12 @@ import pytest
 
 from opsurrogate.grid import BOX2D, GridFunction, norm, quadrature_weights
 from opsurrogate.pca import decode, encode, encode_batch, fit_pca
-from opsurrogate.random_fields import coeff_model_spec, mu_g_spec, sample_gaussian_box
+from opsurrogate.random_fields import (
+    coeff_model_basis,
+    coeff_model_spec,
+    mu_g_spec,
+    sample_gaussian_box,
+)
 from opsurrogate.regressors import LinearModel, TrainConfig, fit_linear
 from opsurrogate.solvers import solve_poisson
 from opsurrogate.surrogate import (
@@ -50,7 +55,7 @@ def test_exact_composition_on_linear_problem(poisson_data):
     # reproduces the projected truth on training inputs
     xs, ys = poisson_data
     sur = build_linear_surrogate(xs, ys, d=48)
-    err = relative_test_error(sur, xs[:40], ys[:40])
+    err, _ = relative_test_error(sur, xs[:40], ys[:40])
     assert err < 1e-4
 
 
@@ -70,7 +75,7 @@ def test_relative_error_of_zero_surrogate_is_one(poisson_data):
     dead = Surrogate(sur.pca_in, sur.pca_out,
                      LinearModel(np.zeros((6, 6)), np.zeros(6)),
                      sur.input_mean, sur.input_std)
-    assert relative_test_error(dead, xs[:10], ys[:10]) == pytest.approx(1.0, abs=1e-14)
+    assert relative_test_error(dead, xs[:10], ys[:10])[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_relative_error_scale_invariance(poisson_data):
@@ -92,6 +97,8 @@ def test_relative_errors_skips_zero_norm_targets(poisson_data):
         ratios, skipped = relative_errors(ys[:4], targets, w)
     assert skipped == 1
     assert len(ratios) == 3
+    with pytest.raises(ValueError, match="zero norm"):
+        relative_errors(ys[:4], np.zeros_like(targets), w)
 
 
 def test_fit_surrogate_nn_hidden_and_test_history(poisson_data):
@@ -103,7 +110,7 @@ def test_fit_surrogate_nn_hidden_and_test_history(poisson_data):
     assert sur.regressor.dims == [6, 16, 6]
     assert len(result.test_metric) == len(result.train_loss) == 4
     # the per-epoch metric runs the prediction path of the final surrogate
-    assert result.test_metric[-1] == relative_test_error(sur, xs[40:], ys[40:])
+    assert result.test_metric[-1] == relative_test_error(sur, xs[40:], ys[40:])[0]
 
 
 def test_predict_function_matches_predict_batch_row(poisson_data):
@@ -170,6 +177,9 @@ def test_taylor_zero_head_coefficients():
     pred = taylor_truncation_poisson(spec, K=5, n=17)
     out = pred.predict(np.zeros((1, 5)))
     assert np.max(np.abs(out)) == 0.0
+    # the K basis solves share one factorisation and equal single solves
+    for phi, eta in zip(coeff_model_basis(spec, 5, 17), pred.etas):
+        assert np.array_equal(solve_poisson(GridFunction(BOX2D, 17, phi)).values, eta)
 
 
 def test_taylor_full_truncation_is_solver_exact():
