@@ -77,13 +77,31 @@ def _problem_config(args):
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _widths(text: str) -> tuple:
+    try:
+        return tuple(_positive_int(v) for v in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}") from None
+
+
 def _add_fit_args(p):
     p.add_argument("--d", type=int, required=True, help="reduced dimension")
     p.add_argument("--regressor", choices=["nn", "linear"], default="nn")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--epochs", type=_positive_int, default=500)
+    p.add_argument("--batch-size", type=_positive_int, default=64)
     p.add_argument("--fit-seed", type=int, default=0)
-    p.add_argument("--hidden", default="500,1000,2000,1000,500",
+    p.add_argument("--hidden", type=_widths, default="500,1000,2000,1000,500",
                    help="comma-separated hidden layer widths")
     p.add_argument("--unweighted", action="store_true",
                    help="use plain Euclidean (not quadrature-weighted) PCA")
@@ -98,7 +116,7 @@ def _fit_config(args):
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.fit_seed,
-        hidden=tuple(int(v) for v in args.hidden.split(",")),
+        hidden=args.hidden,
         weighted=not args.unweighted,
     )
 
@@ -145,7 +163,18 @@ def cmd_fit(args) -> int:
     else:
         save_surrogate(sur, path, meta)
     print(f"wrote surrogate {path} (d={fit_cfg.d}, regressor={fit_cfg.regressor})")
+    if result is not None:
+        print("\n".join(_learning_rate_report(result)))
     return 0
+
+
+def _learning_rate_report(result) -> list[str]:
+    """The chosen learning rate, as its `meta` line, then one line per
+    rejected candidate with the epoch and loss at which it blew up."""
+    lines = [f"learning_rate = {result.learning_rate!r}"]
+    for lr, why in result.diagnostics["rejected"].items():
+        lines.append(f"rejected learning_rate = {lr!r} ({why})")
+    return lines
 
 
 def cmd_eval(args) -> int:

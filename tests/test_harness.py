@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import opsurrogate
-from opsurrogate.cli import _THREAD_VARS, _pin_threads
+from opsurrogate.cli import _THREAD_VARS, _learning_rate_report, _pin_threads, build_parser
 from opsurrogate.datasets import FormatError, ProblemConfig, generate_dataset
 from opsurrogate.harness import (
     FitConfig,
@@ -21,6 +21,7 @@ from opsurrogate.harness import (
     write_csv,
     write_svg_lines,
 )
+from opsurrogate.regressors import TrainConfig, init_mlp, train_mlp
 from opsurrogate.surrogate import predict_batch
 
 
@@ -274,6 +275,15 @@ def test_cli_fit_eval_pipeline(tmp_path):
     moved = dict(zip(header, values))
     assert moved["relative_error"] == row["relative_error"]
     assert moved["skipped_zero_norm"] == "0"
+    # an NN fit reports the learning rate it chose, as written to `meta`
+    proc = run_cli(["fit", "--dataset", str(tmp_path / "train"), "--d", "4",
+                    "--regressor", "nn", "--hidden", "8", "--epochs", "2",
+                    "--batch-size", "8", "--threads", "1",
+                    "--out", str(tmp_path), "--name", "nn"], cwd=str(tmp_path))
+    chosen = [line for line in proc.stdout.splitlines()
+              if line.startswith("learning_rate = ")]
+    meta = (tmp_path / "nn" / "meta").read_text().splitlines()
+    assert len(chosen) == 1 and chosen[0] in meta
 
 
 def test_cli_eval_empty_test_set_is_usage_error(tmp_path):
@@ -300,6 +310,31 @@ def test_cli_theory_commands(tmp_path):
     assert bad.returncode != 0
     listing = bad.stderr + bad.stdout
     assert "fan" in listing
+
+
+@pytest.mark.parametrize("flag", [["--epochs", "-1"], ["--epochs", "0"],
+                                  ["--batch-size", "-4"], ["--batch-size", "0"],
+                                  ["--hidden", "8,0"], ["--hidden", "8,,8"]])
+def test_fit_rejects_non_positive_training_flags(capsys, flag):
+    argv = ["fit", "--d", "4", "--dataset", "train", "--name", "model", *flag]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag[0] in err and "positive integer" in err
+
+
+def test_learning_rate_report_names_each_rejected_rate():
+    rng = np.random.default_rng(11)
+    x = 10 * rng.standard_normal((64, 3))
+    y = 10 * rng.standard_normal((64, 3))
+    cfg = TrainConfig(epochs=8, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
+    result = train_mlp(init_mlp([3, 16, 3], seed=5), x, y, cfg)
+    lines = _learning_rate_report(result)
+    assert lines[0] == "learning_rate = 0.0001"
+    why = result.diagnostics["rejected"][1e6]
+    assert lines[1:] == [f"rejected learning_rate = 1000000.0 ({why})"]
+    assert why.startswith("epoch 0: loss ")
 
 
 def test_cli_help_documents_csv_schemas():

@@ -3,10 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from opsurrogate import regressors
 from opsurrogate.regressors import (
+    NESTEROV_BLOCK,
     SELU_ALPHA,
     SELU_LAMBDA,
     LinearModel,
+    MlpModel,
     TrainConfig,
     TrainingError,
     fit_linear,
@@ -17,6 +20,7 @@ from opsurrogate.regressors import (
     nesterov_step,
     predict,
     selu,
+    selu_prime,
     train_mlp,
 )
 
@@ -108,10 +112,13 @@ def test_backprop_matches_finite_differences():
 
 def test_nesterov_hand_step():
     # L = theta^2/2, one step from theta=1, v=0, m=0.99, eta=0.1
-    theta, vel = nesterov_step([np.array([1.0])], [np.array([0.0])],
-                               lambda look: [look[0]], 0.1, 0.99)
-    assert vel[0][0] == pytest.approx(-0.1, rel=1e-14)
-    assert theta[0][0] == pytest.approx(0.9, rel=1e-14)
+    theta, vel = np.array([1.0]), np.array([0.0])
+    look = theta + 0.99 * vel
+    grad = look.copy()
+    nesterov_step(theta, vel, look, grad, 0.1, 0.99)
+    assert vel[0] == pytest.approx(-0.1, rel=1e-14)
+    assert theta[0] == pytest.approx(0.9, rel=1e-14)
+    assert look[0] == pytest.approx(0.801, rel=1e-14)
 
 
 def test_full_batch_step_decreases_quadratic():
@@ -120,17 +127,162 @@ def test_full_batch_step_decreases_quadratic():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(30)
     y = 2.0 * x
-    theta = np.array([5.0])
-
-    def grad(look):
-        return [np.array([np.mean(2 * (look[0][0] * x - y) * x)])]
+    theta, vel = np.array([5.0]), np.array([0.0])
+    look = theta.copy()
+    grad = np.array([np.mean(2 * (look[0] * x - y) * x)])
 
     smooth = 2 * np.mean(x ** 2)
     eta = 0.9 / smooth
     loss0 = np.mean((theta[0] * x - y) ** 2)
-    theta2, _ = nesterov_step([theta], [np.array([0.0])], grad, eta, 0.0)
-    loss1 = np.mean((theta2[0][0] * x - y) ** 2)
+    nesterov_step(theta, vel, look, grad, eta, 0.0)
+    loss1 = np.mean((theta[0] * x - y) ** 2)
     assert loss1 < loss0
+    assert np.array_equal(look, theta)
+
+
+# The list-based lookahead Nesterov loop and allocating backprop that the
+# flat in-place training replaced, kept as the reference it must reproduce
+# bit for bit.
+
+def _reference_loss_and_grads(model, x, y):
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    last = len(model.weights) - 1
+    h = x
+    pre, post = [], [x]
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ W.T + b
+        pre.append(z)
+        h = selu(z) if i != last else z
+        post.append(h)
+    diff = post[-1] - y
+    loss = float(np.mean(diff ** 2))
+    delta = 2.0 * diff / diff.size
+    gw = [None] * len(model.weights)
+    gb = [None] * len(model.biases)
+    for i in range(last, -1, -1):
+        gw[i] = delta.T @ post[i]
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i]) * selu_prime(pre[i - 1])
+    return loss, gw, gb
+
+
+def _reference_nesterov_step(theta, velocity, grad_fn, lr, momentum):
+    lookahead = [t + momentum * v for t, v in zip(theta, velocity)]
+    grads = grad_fn(lookahead)
+    velocity = [momentum * v - lr * g for v, g in zip(velocity, grads)]
+    theta = [t + v for t, v in zip(theta, velocity)]
+    return theta, velocity
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn):
+    model = init.copy()
+    n = x.shape[0]
+    batch = min(cfg.batch_size, n)
+    rng = np.random.default_rng(cfg.seed)
+    params = model.weights + model.biases
+    vel = [np.zeros_like(p) for p in params]
+    nw = len(model.weights)
+    loss0 = mlp_loss(model, x, y)
+    blowup = cfg.blowup_factor * max(loss0, 1e-30)
+    history = [loss0]
+    test_history = [test_metric_fn(model)]
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = perm[start:start + batch]
+
+            def grads(theta):
+                look = MlpModel(theta[:nw], theta[nw:])
+                _, gw, gb = _reference_loss_and_grads(look, x[idx], y[idx])
+                return gw + gb
+
+            params, vel = _reference_nesterov_step(params, vel, grads, lr, cfg.momentum)
+        model = MlpModel(params[:nw], params[nw:])
+        loss = mlp_loss(model, x, y)
+        history.append(loss)
+        test_history.append(test_metric_fn(model))
+        if not np.isfinite(loss) or loss > blowup:
+            return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
+    return (model, history, test_history), None
+
+
+def _reference_train(init, x, y, cfg, test_metric_fn):
+    failures = {}
+    for lr in cfg.learning_rates:
+        result, failure = _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn)
+        if result is not None:
+            return result, lr, {"rejected": failures}
+        failures[lr] = failure
+    raise AssertionError("every reference candidate blew up")
+
+
+@pytest.mark.parametrize("block", [NESTEROV_BLOCK, 7])
+def test_training_is_bit_identical_to_list_based_reference(monkeypatch, block):
+    # 70 rows in minibatches of 16 leave a partial last minibatch; the first
+    # learning rate blows up, so the restart from the initial weights is
+    # covered; block 7 splits every vector into many blocks and a partial one
+    monkeypatch.setattr(regressors, "NESTEROV_BLOCK", block)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((70, 4))
+    y = np.tanh(x @ rng.standard_normal((4, 3)))
+    xt = rng.standard_normal((20, 4))
+    yt = np.tanh(xt @ rng.standard_normal((4, 3)))
+    cfg = TrainConfig(epochs=4, batch_size=16, seed=15, learning_rates=(50.0, 1e-2))
+    init = init_mlp([4, 12, 10, 3], seed=16)
+    saved = init.copy()
+
+    def metric(model):
+        return mlp_loss(model, xt, yt)
+
+    result = train_mlp(init, x, y, cfg, metric)
+    (model, history, test_history), lr, diagnostics = _reference_train(
+        saved, x, y, cfg, metric)
+    assert 50.0 in diagnostics["rejected"]
+    assert result.diagnostics == diagnostics
+    assert result.learning_rate == lr == 1e-2
+    assert result.train_loss == history
+    assert result.test_metric == test_history
+    for got, want in zip(result.model.weights + result.model.biases,
+                         model.weights + model.biases):
+        assert np.array_equal(got, want)
+    # the caller's initial model is left untouched
+    for got, want in zip(init.weights + init.biases, saved.weights + saved.biases):
+        assert np.array_equal(got, want)
+
+
+def test_gradients_into_out_equal_allocated_and_reference():
+    rng = np.random.default_rng(17)
+    model = init_mlp([5, 9, 7, 4], seed=18)
+    x = rng.standard_normal((13, 5))
+    y = rng.standard_normal((13, 4))
+    out = MlpModel([np.full_like(W, np.nan) for W in model.weights],
+                   [np.full_like(b, np.nan) for b in model.biases])
+    loss_out, gw_out, gb_out = mlp_loss_and_grads(model, x, y, out=out)
+    loss, gw, gb = mlp_loss_and_grads(model, x, y)
+    ref_loss, ref_gw, ref_gb = _reference_loss_and_grads(model, x, y)
+    assert loss_out == loss == ref_loss
+    assert gw_out is out.weights and gb_out is out.biases
+    for got, alloc, ref in zip(gw_out + gb_out, gw + gb, ref_gw + ref_gb):
+        assert np.array_equal(got, alloc) and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -4), ("epochs", 0), ("epochs", -1),
+    ("learning_rates", ()), ("learning_rates", (1e-3, 0.0)),
+    ("learning_rates", (-1e-3,)), ("blowup_factor", 0.0), ("blowup_factor", -2.0),
+])
+def test_train_config_rejects_degenerate_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("dims", [[3, 0, 2], [3, 8, -1], [0, 4], [3]])
+def test_init_mlp_rejects_empty_layers(dims):
+    with pytest.raises(ValueError, match="width"):
+        init_mlp(dims, seed=0)
 
 
 def test_training_on_self_generated_targets_starts_at_zero():
