@@ -52,10 +52,11 @@ def _add_problem_args(p):
     p.add_argument("--problem", required=True,
                    choices=["linear_elliptic", "poisson", "darcy_lognormal",
                             "darcy_piecewise", "burgers", "coeff_model"])
-    p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cutoff", type=int, default=None,
+    p.add_argument("--resolution", type=_int_at_least(2, "an integer >= 2"),
+                   required=True)
+    p.add_argument("--count", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--cutoff", type=_non_negative_int, default=None,
                    help="KL truncation wavenumber (default: grid Nyquist)")
     p.add_argument("--beta", type=float, default=1e-2)
     p.add_argument("--t-final", type=float, default=1.0)
@@ -77,17 +78,25 @@ def _problem_config(args):
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer of at least `low`; anything else is a
+    usage error that asks for `what`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _widths(text: str) -> tuple:
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _positive_ints(text: str) -> tuple:
     try:
         return tuple(_positive_int(v) for v in text.split(","))
     except argparse.ArgumentTypeError:
@@ -96,12 +105,12 @@ def _widths(text: str) -> tuple:
 
 
 def _add_fit_args(p):
-    p.add_argument("--d", type=int, required=True, help="reduced dimension")
+    p.add_argument("--d", type=_positive_int, required=True, help="reduced dimension")
     p.add_argument("--regressor", choices=["nn", "linear"], default="nn")
     p.add_argument("--epochs", type=_positive_int, default=500)
     p.add_argument("--batch-size", type=_positive_int, default=64)
-    p.add_argument("--fit-seed", type=int, default=0)
-    p.add_argument("--hidden", type=_widths, default="500,1000,2000,1000,500",
+    p.add_argument("--fit-seed", type=_non_negative_int, default=0)
+    p.add_argument("--hidden", type=_positive_ints, default="500,1000,2000,1000,500",
                    help="comma-separated hidden layer widths")
     p.add_argument("--unweighted", action="store_true",
                    help="use plain Euclidean (not quadrature-weighted) PCA")
@@ -220,7 +229,7 @@ def cmd_sweep(args) -> int:
 
     base = _problem_config(args)
     fit_cfg = _fit_config(args)
-    values = [int(v) for v in args.values.split(",")]
+    values = list(args.values)
     regressors = tuple(args.regressors.split(","))
     rows = run_sweep(base, fit_cfg, args.axis, values, args.n_test,
                      args.test_seed, regressors=regressors)
@@ -295,7 +304,7 @@ def cmd_baseline_taylor(args) -> int:
     from .protocols import CHKIFA_COLUMNS, run_chkifa_comparison
 
     base = _problem_config(args)
-    budgets = [int(v) for v in args.budgets.split(",")]
+    budgets = list(args.budgets)
     rows = run_chkifa_comparison(base, budgets, args.n_test, args.test_seed)
     path = os.path.join(_out_root(args), f"{args.name}.csv")
     write_csv(path, rows, CHKIFA_COLUMNS)
@@ -319,7 +328,7 @@ def cmd_theory(args) -> int:
         from .theory import check_mc_covariance_rate
 
         spec = mu_g_spec(args.cutoff or 8)
-        n_list = [int(v) for v in args.n_list.split(",")]
+        n_list = list(args.n_list)
         report = check_mc_covariance_rate(spec, n_list, args.trials, args.seed)
     elif args.check == "chebyshev":
         from .theory import check_chebyshev_coverage
@@ -359,7 +368,7 @@ def cmd_timing(args) -> int:
 
     base = _problem_config(args)
     fit_cfg = _fit_config(args)
-    d_list = [int(v) for v in args.d_list.split(",")]
+    d_list = list(args.d_list)
     rows = run_rb_timing(base, d_list, fit_cfg)
     path = os.path.join(_out_root(args), f"{args.name}.csv")
     write_csv(path, rows, TIMING_COLUMNS)
@@ -407,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_args(p)
     p.add_argument("--axis", required=True, choices=["resolution", "dimension",
                                                      "samples"])
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--values", type=_positive_ints, required=True,
+                   help="comma-separated axis values")
     p.add_argument("--n-test", type=int, default=100)
-    p.add_argument("--test-seed", type=int, default=777)
+    p.add_argument("--test-seed", type=_non_negative_int, default=777)
     p.add_argument("--regressors", default="nn,linear")
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -426,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline-rb", help="reduced-basis Galerkin error")
     _add_common(p)
     _add_problem_args(p)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--n-test", type=int, default=50)
-    p.add_argument("--test-seed", type=int, default=777)
+    p.add_argument("--test-seed", type=_non_negative_int, default=777)
     p.set_defaults(func=cmd_baseline_rb)
 
     p = sub.add_parser("baseline-taylor", help="Taylor truncation vs PCA+linear "
@@ -436,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "relative_error,test_hash")
     _add_common(p)
     _add_problem_args(p)
-    p.add_argument("--budgets", required=True)
+    p.add_argument("--budgets", type=_positive_ints, required=True)
     p.add_argument("--n-test", type=int, default=100)
-    p.add_argument("--test-seed", type=int, default=777)
+    p.add_argument("--test-seed", type=_non_negative_int, default=777)
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_baseline_taylor)
 
@@ -449,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=6)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--n-list", default="64,128,256,512,1024")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--cutoff", type=_non_negative_int, default=None)
+    p.add_argument("--n-list", type=_positive_ints, default="64,128,256,512,1024")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--n-train", type=int, default=200)
     p.add_argument("--n-test", type=int, default=1000)
@@ -463,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_problem_args(p)
     _add_fit_args(p)
-    p.add_argument("--d-list", required=True)
+    p.add_argument("--d-list", type=_positive_ints, required=True)
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_timing)
 
@@ -475,7 +485,16 @@ def main(argv=None) -> int:
     _pin_threads(argv)  # must happen before numpy is imported
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    from .grid import ShapeError
+    from .pca import PcaConfigError
+    from .random_fields import ConfigError
+
+    try:
+        return args.func(args)
+    except (ConfigError, PcaConfigError, ShapeError) as exc:
+        # a flag in its own range that does not fit the others or the data,
+        # such as a KL cutoff above the grid's Nyquist limit or d > N
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 with Nesterov momentum, and an affine least-squares baseline.
 
 The training loop walks a descending list of learning-rate candidates and
-keeps the largest one whose loss never blows up.
+keeps the largest one whose loss never blows up. It runs in float32; the
+losses that decide a blow-up are float64 means, and the trained network is
+returned as its exact float64 upcast, so prediction is float64 throughout.
 """
 
 from __future__ import annotations
@@ -22,13 +24,22 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _float_array(x):
+    """`x` unchanged if it is float32, else as a float64 array. The check
+    costs no more than the conversion alone, which prediction pays per
+    layer."""
+    if isinstance(x, (np.ndarray, np.generic)) and x.dtype.type is np.float32:
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
 def selu(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     return SELU_LAMBDA * np.where(x > 0.0, x, SELU_ALPHA * np.expm1(x))
 
 
 def selu_prime(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     return SELU_LAMBDA * np.where(x > 0.0, 1.0, SELU_ALPHA * np.exp(x))
 
 
@@ -105,8 +116,9 @@ def init_mlp(dims: list[int], seed: int) -> MlpModel:
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass on a batch (rows are samples)."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Forward pass on a batch (rows are samples), in float32 when both `x`
+    and the weights are float32 and in float64 otherwise."""
+    h = np.atleast_2d(_float_array(x))
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         h = h @ W.T + b
@@ -121,7 +133,8 @@ def mlp_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
 
     Loss = mean over batch and output coordinates of (pred - y)^2. The
     gradients are written into `out`, an MlpModel of the same shapes (a new
-    one when None), and returned as (loss, out.weights, out.biases).
+    one when None), and returned as (loss, out.weights, out.biases). A
+    float32 model and batch give float32 gradients, float64 ones float64.
     """
     if out is None:
         out = MlpModel([np.empty_like(W) for W in model.weights],
@@ -149,22 +162,27 @@ def mlp_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
 
 
 def mlp_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared error of the forward pass on `x`. The difference and the
+    mean take the wider dtype of prediction and `y`: float64 targets give a
+    float64 loss for a float32 network."""
     diff = mlp_forward(model, x) - np.atleast_2d(y)
     return float(np.mean(diff ** 2))
 
 
-# nesterov_step walks its four vectors in blocks of this many float64s:
-# 4 x 256 KiB, which stays in a 1-2 MiB L2 cache between the six passes
+# nesterov_step walks its four vectors in blocks of this many elements:
+# 4 x 128 KiB of float32 (4 x 256 KiB of float64), which stays in a 1-2 MiB
+# L2 cache between the six passes
 NESTEROV_BLOCK = 32768
 
 
-def nesterov_step(theta, velocity, lookahead, grad, lr: float, momentum: float):
+def nesterov_step(theta, velocity, lookahead, grad, lr, momentum):
     """One lookahead-form Nesterov update, in place on flat vectors.
 
     `grad` holds the gradient at `lookahead` = theta + m v. The step sets
     v <- m v - lr * grad and theta <- theta + v, then writes the next
     lookahead theta + m v; `grad` is left scaled by lr. Each block of the
-    vectors goes through all of it while it is in cache.
+    vectors goes through all of it while it is in cache. The arithmetic is
+    in the vectors' dtype; training passes float32 vectors and scalars.
     """
     for start in range(0, theta.size, NESTEROV_BLOCK):
         block = slice(start, start + NESTEROV_BLOCK)
@@ -189,38 +207,40 @@ class TrainResult:
 # blow-ups are expected while probing learning rates and are detected
 # through the loss check below, so the overflow warnings are just noise
 @np.errstate(over="ignore", invalid="ignore")
-def _run_sgd(init, x, y, cfg: TrainConfig, lr: float, test_metric_fn, buffers):
-    """Train from the weights of `init` in the flat vectors `buffers` =
-    (theta, velocity, lookahead, gradient); returns ((model, history,
-    test_history), None), the model being views into theta, or (None,
-    blow-up diagnostic string)."""
+def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, test_metric_fn, buffers):
+    """Train in float32 from the weights of `init` in the flat float32
+    vectors `buffers` = (theta, velocity, lookahead, gradient), on the data
+    `x32`, `y32`. Each epoch's loss, and the starting loss that sets the
+    blow-up threshold, is the float64 MSE of the float32 network against
+    `y`. Returns ((history, test_history), None), one entry per epoch, with
+    the trained weights left in theta, or (None, blow-up diagnostic
+    string)."""
     theta, vel, look, grad = buffers
     model, look_model, grad_model = (_flat_views(buf, init.dims) for buf in (theta, look, grad))
     for dst, src in zip(model.weights + model.biases, init.weights + init.biases):
         dst[...] = src
+    lr, momentum = np.float32(lr), np.float32(cfg.momentum)
     vel.fill(0.0)
-    np.multiply(vel, cfg.momentum, out=look)  # the first step's lookahead
+    np.multiply(vel, momentum, out=look)  # the first step's lookahead
     look += theta
-    n = x.shape[0]
+    n = x32.shape[0]
     batch = min(cfg.batch_size, n)
     rng = np.random.default_rng(cfg.seed)
-    loss0 = mlp_loss(model, x, y)
-    blowup = cfg.blowup_factor * max(loss0, 1e-30)
-    history = [loss0]
-    test_history = [test_metric_fn(model)] if test_metric_fn else []
+    blowup = cfg.blowup_factor * max(mlp_loss(model, x32, y), 1e-30)
+    history, test_history = [], []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            mlp_loss_and_grads(look_model, x[idx], y[idx], out=grad_model)
-            nesterov_step(theta, vel, look, grad, lr, cfg.momentum)
-        loss = mlp_loss(model, x, y)
+            mlp_loss_and_grads(look_model, x32[idx], y32[idx], out=grad_model)
+            nesterov_step(theta, vel, look, grad, lr, momentum)
+        loss = mlp_loss(model, x32, y)
         history.append(loss)
         if test_metric_fn:
             test_history.append(test_metric_fn(model))
         if not np.isfinite(loss) or loss > blowup:
             return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
-    return (model, history, test_history), None
+    return (history, test_history), None
 
 
 def train_mlp(
@@ -230,25 +250,34 @@ def train_mlp(
     cfg: TrainConfig,
     test_metric_fn=None,
 ) -> TrainResult:
-    """Minibatch Nesterov SGD on the MSE of latent pairs.
+    """Minibatch Nesterov SGD on the MSE of latent pairs, in float32.
 
     Learning-rate candidates are tried from largest to smallest; a candidate
-    is rejected (and training restarted from the initial weights) as soon as
-    the epoch loss exceeds blowup_factor times the initial loss or turns
-    non-finite. `model` is left unchanged; the trained weights are views
-    into one flat parameter vector.
+    is rejected (and training restarted from the float32 cast of the initial
+    weights) as soon as the epoch loss exceeds blowup_factor times the loss
+    of that cast or turns non-finite. The first entries of the histories are
+    the loss and metric of `model` itself in float64; each later loss is the
+    float64 MSE of the float32 network's prediction, and `test_metric_fn`
+    sees that same network. `model` is left unchanged; the trained weights
+    are the exact float64 upcast of the float32 ones, views into one flat
+    parameter vector.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x32, y32 = x.astype(np.float32), y.astype(np.float32)
+    loss0 = mlp_loss(model, x, y)
+    test0 = [test_metric_fn(model)] if test_metric_fn else []
     size = sum(W.size + b.size for W, b in zip(model.weights, model.biases))
     # theta, velocity, lookahead, gradient: reused by every candidate
-    buffers = [np.empty(size) for _ in range(4)]
+    buffers = [np.empty(size, dtype=np.float32) for _ in range(4)]
     failures = {}
     for lr in cfg.learning_rates:
-        result, failure = _run_sgd(model, x, y, cfg, lr, test_metric_fn, buffers)
+        result, failure = _run_sgd(model, x32, y32, y, cfg, lr, test_metric_fn, buffers)
         if result is not None:
-            trained, history, test_history = result
-            return TrainResult(trained, history, test_history, lr, {"rejected": failures})
+            history, test_history = result
+            trained = _flat_views(buffers[0].astype(np.float64), model.dims)
+            return TrainResult(trained, [loss0, *history], test0 + test_history, lr,
+                               {"rejected": failures})
         failures[lr] = failure
     detail = "; ".join(f"lr={lr:g}: {msg}" for lr, msg in failures.items())
     raise TrainingError(f"all learning-rate candidates blew up ({detail})")

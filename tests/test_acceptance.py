@@ -99,12 +99,28 @@ def fit_and_eval(train, test, d, regressor, epochs, **kw):
     return err, sur
 
 
-def test_criterion_1_mesh_invariance(darcy_piecewise_65, capsys):
+@pytest.fixture(scope="session")
+def darcy_piecewise_33_nn(darcy_piecewise_65):
+    """The d=20 NN fit on the n=33 subsample of the darcy_piecewise training
+    set: criterion 1's n=33 fit and criterion 8's darcy_piecewise fit are
+    this same call, so they share it."""
+    assert EPOCHS_MESH == EPOCHS_TRANSFER
+    train65, _ = darcy_piecewise_65
+    cfg = FitConfig(d=20, regressor="nn", epochs=EPOCHS_MESH)
+    sur, _ = fit_from_dataset(subsample_dataset(train65, 33), cfg)
+    return sur
+
+
+def test_criterion_1_mesh_invariance(darcy_piecewise_65, darcy_piecewise_33_nn,
+                                     capsys):
     train65, test65 = darcy_piecewise_65
     errs = {}
     for n in (17, 33, 65):
-        tr = train65 if n == 65 else subsample_dataset(train65, n)
         te = test65 if n == 65 else subsample_dataset(test65, n)
+        if n == 33:
+            errs[n], _, _ = evaluate(darcy_piecewise_33_nn, te)
+            continue
+        tr = train65 if n == 65 else subsample_dataset(train65, n)
         errs[n], _ = fit_and_eval(tr, te, d=20, regressor="nn",
                                   epochs=EPOCHS_MESH)
     spread = max(errs.values()) - min(errs.values())
@@ -230,15 +246,17 @@ def test_criterion_7_nonlinear_problem_ordering(darcy_piecewise_65,
 
 
 def test_criterion_8_mesh_transfer(darcy_piecewise_65, darcy_lognormal_65,
-                                   capsys):
+                                   darcy_piecewise_33_nn, capsys):
     details = []
     ok = True
     for name, (train65, test65) in (("darcy_piecewise", darcy_piecewise_65),
                                     ("darcy_lognormal", darcy_lognormal_65)):
-        train33 = subsample_dataset(train65, 33)
         test33 = subsample_dataset(test65, 33)
-        cfg = FitConfig(d=20, regressor="nn", epochs=EPOCHS_TRANSFER)
-        sur, _ = fit_from_dataset(train33, cfg)
+        if name == "darcy_piecewise":
+            sur = darcy_piecewise_33_nn
+        else:
+            cfg = FitConfig(d=20, regressor="nn", epochs=EPOCHS_TRANSFER)
+            sur, _ = fit_from_dataset(subsample_dataset(train65, 33), cfg)
         native, _, _ = evaluate(sur, test33)
         moved, _, _ = evaluate(sur, test65, allow_transfer=True)
         increase = moved - native

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import opsurrogate
-from opsurrogate.cli import _THREAD_VARS, _learning_rate_report, _pin_threads, build_parser
+from opsurrogate.cli import (
+    _THREAD_VARS,
+    _learning_rate_report,
+    _pin_threads,
+    build_parser,
+    main,
+)
 from opsurrogate.datasets import FormatError, ProblemConfig, generate_dataset
 from opsurrogate.harness import (
     FitConfig,
@@ -322,6 +328,66 @@ def test_fit_rejects_non_positive_training_flags(capsys, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and flag[0] in err and "positive integer" in err
+
+
+GENERATE = ["generate", "--problem", "poisson", "--resolution", "17", "--count", "4",
+            "--name", "data"]
+SWEEP = ["sweep", "--problem", "poisson", "--resolution", "17", "--count", "4",
+         "--d", "4", "--axis", "samples", "--values", "8", "--name", "sweep"]
+
+
+@pytest.mark.parametrize("argv, flag, wanted", [
+    (GENERATE, ["--count", "-1"], "non-negative integer"),
+    (GENERATE, ["--resolution", "1"], "integer >= 2"),
+    (GENERATE, ["--seed", "-1"], "non-negative integer"),
+    (GENERATE, ["--cutoff", "-1"], "non-negative integer"),
+    (["fit", "--dataset", "train", "--name", "model", "--d", "4"], ["--d", "0"],
+     "positive integer"),
+    (["fit", "--dataset", "train", "--name", "model", "--d", "4"], ["--fit-seed", "-1"],
+     "non-negative integer"),
+    (SWEEP, ["--values", "8,x"], "positive integers"),
+    (SWEEP, ["--test-seed", "-3"], "non-negative integer"),
+    (["timing", *GENERATE[1:7], "--d", "4", "--name", "t", "--d-list", "4"],
+     ["--d-list", "4,-2"], "positive integers"),
+    (["baseline-taylor", *GENERATE[1:7], "--name", "t", "--budgets", "8"],
+     ["--budgets", "8,x"], "positive integers"),
+    (["baseline-rb", *GENERATE[1:7], "--d", "4"], ["--d", "-4"], "positive integer"),
+    (["theory", "mc-rate"], ["--n-list", "64,0"], "positive integers"),
+    (["theory", "fan"], ["--seed", "-1"], "non-negative integer"),
+])
+def test_out_of_range_integer_flags_are_usage_errors(capsys, argv, flag, wanted):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag[0] in err and wanted in err
+
+
+def test_in_range_integer_flags_parse():
+    args = build_parser().parse_args(
+        [*SWEEP, "--count", "0", "--seed", "3", "--cutoff", "0", "--values", "8,16",
+         "--fit-seed", "0"])
+    assert (args.count, args.seed, args.cutoff, args.values, args.fit_seed) == \
+        (0, 3, 0, (8, 16), 0)
+
+
+@pytest.mark.parametrize("argv, wanted", [
+    (["generate", "--problem", "poisson", "--resolution", "9", "--count", "2",
+      "--cutoff", "40", "--name", "data"], "Nyquist"),
+    (["generate", "--problem", "burgers", "--resolution", "12", "--count", "2",
+      "--name", "data"], "power of two"),
+    (["fit", "--d", "50", "--regressor", "linear", "--dataset", "{out}/train",
+      "--name", "model"], "d <= N"),
+])
+def test_settings_that_do_not_fit_the_data_are_errors(tmp_path, capsys, argv, wanted):
+    out = str(tmp_path)
+    assert main(["generate", "--problem", "poisson", "--resolution", "9", "--count", "3",
+                 "--out", out, "--name", "train"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out) for arg in argv] + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"opsurrogate {argv[0]}: error: ") and wanted in err
 
 
 def test_learning_rate_report_names_each_rejected_rate():

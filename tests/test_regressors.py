@@ -31,6 +31,16 @@ def test_selu_values():
     assert selu(-60.0) == pytest.approx(-SELU_LAMBDA * SELU_ALPHA, rel=1e-12)
 
 
+def test_selu_keeps_float32_and_widens_everything_else():
+    for value in (1.0, -1.0, 2, np.float64(0.5), [0.5, -0.5]):
+        assert selu(value).dtype == np.float64
+        assert selu_prime(value).dtype == np.float64
+    x32 = np.array([-1.0, 0.5], dtype=np.float32)
+    for x in (x32, np.float32(-1.0)):
+        assert selu(x).dtype == np.float32 and selu_prime(x).dtype == np.float32
+    assert np.allclose(selu(x32), selu(x32.astype(np.float64)), rtol=1e-6)
+
+
 def test_fit_linear_recovers_affine_map():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 6))
@@ -142,7 +152,10 @@ def test_full_batch_step_decreases_quadratic():
 
 # The list-based lookahead Nesterov loop and allocating backprop that the
 # flat in-place training replaced, kept as the reference it must reproduce
-# bit for bit.
+# bit for bit. Like train_mlp, it steps in float32 from float32 casts of the
+# initial weights and data, records the initial loss of the float64 model,
+# takes the blow-up threshold's loss and each epoch's loss as the float64
+# MSE of the float32 network, and returns the float64 upcast.
 
 def _reference_loss_and_grads(model, x, y):
     x = np.atleast_2d(x)
@@ -176,19 +189,25 @@ def _reference_nesterov_step(theta, velocity, grad_fn, lr, momentum):
     return theta, velocity
 
 
+def _cast(model, dtype):
+    return MlpModel([W.astype(dtype) for W in model.weights],
+                    [b.astype(dtype) for b in model.biases])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn):
-    model = init.copy()
+    model = _cast(init, np.float32)
+    x32, y32 = x.astype(np.float32), y.astype(np.float32)
+    lr, momentum = np.float32(lr), np.float32(cfg.momentum)
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
     rng = np.random.default_rng(cfg.seed)
     params = model.weights + model.biases
     vel = [np.zeros_like(p) for p in params]
     nw = len(model.weights)
-    loss0 = mlp_loss(model, x, y)
-    blowup = cfg.blowup_factor * max(loss0, 1e-30)
-    history = [loss0]
-    test_history = [test_metric_fn(model)]
+    blowup = cfg.blowup_factor * max(mlp_loss(model, x32, y), 1e-30)
+    history = [mlp_loss(init, x, y)]
+    test_history = [test_metric_fn(init)]
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
@@ -196,17 +215,17 @@ def _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn):
 
             def grads(theta):
                 look = MlpModel(theta[:nw], theta[nw:])
-                _, gw, gb = _reference_loss_and_grads(look, x[idx], y[idx])
+                _, gw, gb = _reference_loss_and_grads(look, x32[idx], y32[idx])
                 return gw + gb
 
-            params, vel = _reference_nesterov_step(params, vel, grads, lr, cfg.momentum)
+            params, vel = _reference_nesterov_step(params, vel, grads, lr, momentum)
         model = MlpModel(params[:nw], params[nw:])
-        loss = mlp_loss(model, x, y)
+        loss = mlp_loss(model, x32, y)
         history.append(loss)
         test_history.append(test_metric_fn(model))
         if not np.isfinite(loss) or loss > blowup:
             return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
-    return (model, history, test_history), None
+    return (_cast(model, np.float64), history, test_history), None
 
 
 def _reference_train(init, x, y, cfg, test_metric_fn):
@@ -247,6 +266,7 @@ def test_training_is_bit_identical_to_list_based_reference(monkeypatch, block):
     assert result.test_metric == test_history
     for got, want in zip(result.model.weights + result.model.biases,
                          model.weights + model.biases):
+        assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
     # the caller's initial model is left untouched
     for got, want in zip(init.weights + init.biases, saved.weights + saved.biases):
@@ -300,12 +320,46 @@ def test_training_is_reproducible():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((64, 5))
     y = np.tanh(x @ rng.standard_normal((5, 5)))
+    xt = rng.standard_normal((16, 5))
     cfg = TrainConfig(epochs=5, batch_size=16, seed=2, learning_rates=(1e-3,))
-    r1 = train_mlp(init_mlp([5, 16, 5], seed=3), x, y, cfg)
-    r2 = train_mlp(init_mlp([5, 16, 5], seed=3), x, y, cfg)
-    for w1, w2 in zip(r1.model.weights, r2.model.weights):
+
+    def metric(model):
+        return float(np.mean(mlp_forward(model, xt)))
+
+    r1 = train_mlp(init_mlp([5, 16, 5], seed=3), x, y, cfg, metric)
+    r2 = train_mlp(init_mlp([5, 16, 5], seed=3), x, y, cfg, metric)
+    for w1, w2 in zip(r1.model.weights + r1.model.biases,
+                      r2.model.weights + r2.model.biases):
         assert np.array_equal(w1, w2)
+    assert r1.train_loss == r2.train_loss
+    assert r1.test_metric == r2.test_metric
     assert r1.learning_rate == r2.learning_rate
+
+
+def test_trained_model_is_exact_float64_upcast_of_float32_weights():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((40, 3))
+    y = np.tanh(x @ rng.standard_normal((3, 2)))
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=20, learning_rates=(1e-3,))
+    result = train_mlp(init_mlp([3, 9, 2], seed=21), x, y, cfg)
+    for p in result.model.weights + result.model.biases:
+        assert p.dtype == np.float64
+        assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
+    # the last recorded loss is the float64 MSE of the trained float32 network
+    trained32 = _cast(result.model, np.float32)
+    assert result.train_loss[-1] == mlp_loss(trained32, x.astype(np.float32), y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_and_grads_keep_the_dtype_of_model_and_batch(dtype):
+    rng = np.random.default_rng(22)
+    model = _cast(init_mlp([4, 6, 3], seed=23), dtype)
+    x = rng.standard_normal((5, 4)).astype(dtype)
+    y = rng.standard_normal((5, 3)).astype(dtype)
+    loss, gw, gb = mlp_loss_and_grads(model, x, y)
+    assert isinstance(loss, float)
+    assert all(g.dtype == dtype for g in gw + gb)
+    assert mlp_forward(model, x).dtype == dtype
 
 
 def test_learning_rate_walk_skips_blowup():
