@@ -48,10 +48,15 @@ def _add_common(p):
                    help="output root (default: $OPSURROGATE_OUT or cwd)")
 
 
-def _add_problem_args(p):
-    p.add_argument("--problem", required=True,
-                   choices=["linear_elliptic", "poisson", "darcy_lognormal",
-                            "darcy_piecewise", "burgers", "coeff_model"])
+PROBLEMS = ("linear_elliptic", "poisson", "darcy_lognormal", "darcy_piecewise",
+            "burgers", "coeff_model")
+# the problems whose inputs are the coefficient a of -div(a grad u) = 1,
+# which is what the reduced-basis Galerkin solve takes
+COEFFICIENT_PROBLEMS = ("darcy_lognormal", "darcy_piecewise")
+
+
+def _add_problem_args(p, problems=PROBLEMS):
+    p.add_argument("--problem", required=True, choices=problems)
     p.add_argument("--resolution", type=_int_at_least(2, "an integer >= 2"),
                    required=True)
     p.add_argument("--count", type=_non_negative_int, required=True)
@@ -60,7 +65,7 @@ def _add_problem_args(p):
                    help="KL truncation wavenumber (default: grid Nyquist)")
     p.add_argument("--beta", type=float, default=1e-2)
     p.add_argument("--t-final", type=float, default=1.0)
-    p.add_argument("--coeff-dim", type=int, default=64)
+    p.add_argument("--coeff-dim", type=_positive_int, default=64)
 
 
 def _problem_config(args):
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                      "samples"])
     p.add_argument("--values", type=_positive_ints, required=True,
                    help="comma-separated axis values")
-    p.add_argument("--n-test", type=int, default=100)
+    p.add_argument("--n-test", type=_positive_int, default=100)
     p.add_argument("--test-seed", type=_non_negative_int, default=777)
     p.add_argument("--regressors", default="nn,linear")
     p.add_argument("--name", required=True)
@@ -435,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline-rb", help="reduced-basis Galerkin error")
     _add_common(p)
-    _add_problem_args(p)
+    _add_problem_args(p, COEFFICIENT_PROBLEMS)
     p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--n-test", type=int, default=50)
+    p.add_argument("--n-test", type=_positive_int, default=50)
     p.add_argument("--test-seed", type=_non_negative_int, default=777)
     p.set_defaults(func=cmd_baseline_rb)
 
@@ -445,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "at equal solve budgets; CSV: method,d,budget,"
                        "relative_error,test_hash")
     _add_common(p)
-    _add_problem_args(p)
+    _add_problem_args(p, ("coeff_model",))
     p.add_argument("--budgets", type=_positive_ints, required=True)
-    p.add_argument("--n-test", type=int, default=100)
+    p.add_argument("--n-test", type=_positive_int, default=100)
     p.add_argument("--test-seed", type=_non_negative_int, default=777)
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_baseline_taylor)
@@ -456,15 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
                        f"{', '.join(THEORY_CHECKS)}")
     _add_common(p)
     p.add_argument("check", nargs="?", default="")
-    p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--dim", type=_positive_int, default=6)
+    p.add_argument("--d", type=_positive_int, default=2)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--cutoff", type=_non_negative_int, default=None)
     p.add_argument("--n-list", type=_positive_ints, default="64,128,256,512,1024")
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--n-train", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=1000)
+    p.add_argument("--n-train", type=_positive_int, default=200)
+    p.add_argument("--n-test", type=_positive_int, default=1000)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_theory)
 

@@ -93,18 +93,18 @@ def assemble_darcy_system(a: GridFunction):
     east[:, -1] = 0.0
     west = aW.copy()
     west[:, 0] = 0.0
-    A = sp.diags(
-        [
-            diag,
-            -east.reshape(-1)[:-1] / h ** 2,
-            -west.reshape(-1)[1:] / h ** 2,
-            -aN[:-1, :].reshape(-1) / h ** 2,
-            -aS[1:, :].reshape(-1) / h ** 2,
-        ],
-        [0, 1, -1, m, -m],
-        format="csr",
-    )
-    return A
+    diagonals = [
+        diag,
+        -east.reshape(-1)[:-1] / h ** 2,
+        -west.reshape(-1)[1:] / h ** 2,
+        -aN[:-1, :].reshape(-1) / h ** 2,
+        -aS[1:, :].reshape(-1) / h ** 2,
+    ]
+    offsets = [0, 1, -1, m, -m]
+    if m == 1:
+        # one unknown: the off-diagonals are empty and +-m coincide with +-1
+        diagonals, offsets = diagonals[:1], offsets[:1]
+    return sp.diags(diagonals, offsets, format="csr")
 
 
 def darcy_solver(a: GridFunction):
@@ -164,9 +164,16 @@ def solve_burgers_batch(
     the transformed variable. One shared time step is picked from the
     advective CFL bound over the whole batch (|u| obeys a maximum principle,
     so the initial data bounds the wave speed for all time).
+
+    Every stage is formed in place in preallocated buffers, one operation
+    at a time in the order of the textbook expressions
+        k1 = dt N(w),  k2 = dt N(E (w + k1/2)),  k3 = dt N(E w + k2/2),
+        k4 = dt N(E^2 w + E k3),  w <- E^2 w + (E^2 k1 + 2E (k2 + k3) + k4)/6,
+    with N(w) = -(ik/2) P rfft(irfft(w)^2) and P the dealiasing mask.
+    `u0` is not modified.
     """
     u0 = np.atleast_2d(np.asarray(u0, dtype=np.float64))
-    n = u0.shape[1]
+    rows, n = u0.shape
     if n & (n - 1) != 0:
         raise ShapeError(f"resolution {n} must be a power of two")
     h = 1.0 / n
@@ -178,23 +185,52 @@ def solve_burgers_batch(
     mask = _dealias_mask(n)
     lam = -beta * k ** 2
     E = np.exp(0.5 * dt * lam)
-    E2 = E * E
-    ik_half = 0.5j * k
+    # the factors go in as complex, which is the exact cast that multiplying
+    # a complex array by a real one makes on every call
+    E2 = (E * E).astype(np.complex128)
+    two_E = (2.0 * E).astype(np.complex128)
+    E = E.astype(np.complex128)
+    minus_ik_half = -(0.5j * k)
 
-    def nonlin(w):
-        u = np.fft.irfft(w, n=n)
-        return -ik_half * (np.fft.rfft(u * u) * mask)
+    u = np.empty((rows, n))
+    k1, k2, k3, k4, s1, s2 = (np.empty((rows, n // 2 + 1), dtype=np.complex128)
+                              for _ in range(6))
+
+    def nonlin(src, dst):
+        """dst <- dt N(src); overwrites `u`."""
+        np.fft.irfft(src, n=n, out=u)
+        np.multiply(u, u, out=u)
+        np.fft.rfft(u, out=dst)
+        dst *= mask
+        np.multiply(minus_ik_half, dst, out=dst)
+        dst *= dt
 
     w = np.fft.rfft(u0) * mask
     for step in range(steps):
-        k1 = dt * nonlin(w)
-        k2 = dt * nonlin(E * (w + 0.5 * k1))
-        k3 = dt * nonlin(E * w + 0.5 * k2)
-        k4 = dt * nonlin(E2 * w + E * k3)
-        w = E2 * w + (E2 * k1 + 2.0 * E * (k2 + k3) + k4) / 6.0
+        nonlin(w, k1)
+        np.multiply(k1, 0.5, out=s1)
+        s1 += w
+        s1 *= E
+        nonlin(s1, k2)
+        np.multiply(E, w, out=s1)
+        np.multiply(k2, 0.5, out=s2)
+        s1 += s2
+        nonlin(s1, k3)
+        np.multiply(E2, w, out=s1)
+        np.multiply(E, k3, out=s2)
+        np.add(s1, s2, out=s2)
+        nonlin(s2, k4)
+        # w <- E2 w + (E2 k1 + 2E (k2 + k3) + k4) / 6, with s1 = E2 w
+        k2 += k3
+        k2 *= two_E
+        k1 *= E2
+        k1 += k2
+        k1 += k4
+        k1 /= 6.0
+        np.add(s1, k1, out=w)
         if step % 64 == 0 and not np.all(np.isfinite(w.view(np.float64))):
             raise NumericalError(f"Burgers solve blew up at step {step}/{steps}")
-    u = np.fft.irfft(w, n=n)
+    np.fft.irfft(w, n=n, out=u)
     if not np.all(np.isfinite(u)):
         raise NumericalError("Burgers solve produced non-finite values")
     return u

@@ -17,6 +17,7 @@ from .grid import GridFunction, norm
 from .pca import PcaModel, decode, encode, fit_pca
 from .random_fields import (
     MU_B,
+    ConfigError,
     MeasureSpec,
     box_mode_stddevs,
     derive_seed,
@@ -56,7 +57,7 @@ def check_fan(dim: int, d: int, trials: int, seed: int) -> TheoryReport:
     """Top-d eigenvalue sum dominates the trace form over all orthonormal
     d-frames, with equality at the top eigenvectors."""
     if not 1 <= d <= dim:
-        raise ValueError("need 1 <= d <= dim")
+        raise ConfigError(f"the fan check needs 1 <= d <= dim, got d={d}, dim={dim}")
     rng = np.random.default_rng(seed)
     C = random_psd_matrix(dim, rng)
     evals, evecs = np.linalg.eigh(C)
@@ -136,7 +137,7 @@ def check_chebyshev_coverage(
     """Fresh samples land in the latent box [-M, M]^d with probability at
     least 1 - delta, where M^2 = (empirical second moment) / delta."""
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     train = [sample_field(spec, n, derive_seed(seed, i)) for i in range(N_train)]
     model = fit_pca(np.stack([u.values for u in train]), train[0].domain, n, d)
     second_moment = float(np.mean([norm(u) ** 2 for u in train]))

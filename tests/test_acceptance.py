@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import opsurrogate
 from opsurrogate.datasets import (
     ProblemConfig,
     generate_dataset,
@@ -331,6 +332,11 @@ def run_cli(out_dir, *args):
     env = dict(os.environ)
     env.update({"OPSURROGATE_OUT": str(out_dir), "OMP_NUM_THREADS": "1",
                 "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+    # the child imports the same package as this process, also from an
+    # uninstalled checkout with no PYTHONPATH set
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(opsurrogate.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))])
     proc = subprocess.run([sys.executable, "-m", "opsurrogate", *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -334,6 +336,9 @@ GENERATE = ["generate", "--problem", "poisson", "--resolution", "17", "--count",
             "--name", "data"]
 SWEEP = ["sweep", "--problem", "poisson", "--resolution", "17", "--count", "4",
          "--d", "4", "--axis", "samples", "--values", "8", "--name", "sweep"]
+BASELINE_RB = ["baseline-rb", "--problem", "darcy_lognormal", *GENERATE[3:7], "--d", "4"]
+BASELINE_TAYLOR = ["baseline-taylor", "--problem", "coeff_model", *GENERATE[3:7],
+                   "--name", "t", "--budgets", "8"]
 
 
 @pytest.mark.parametrize("argv, flag, wanted", [
@@ -349,11 +354,21 @@ SWEEP = ["sweep", "--problem", "poisson", "--resolution", "17", "--count", "4",
     (SWEEP, ["--test-seed", "-3"], "non-negative integer"),
     (["timing", *GENERATE[1:7], "--d", "4", "--name", "t", "--d-list", "4"],
      ["--d-list", "4,-2"], "positive integers"),
-    (["baseline-taylor", *GENERATE[1:7], "--name", "t", "--budgets", "8"],
-     ["--budgets", "8,x"], "positive integers"),
-    (["baseline-rb", *GENERATE[1:7], "--d", "4"], ["--d", "-4"], "positive integer"),
+    (BASELINE_TAYLOR, ["--budgets", "8,x"], "positive integers"),
+    (BASELINE_RB, ["--d", "-4"], "positive integer"),
     (["theory", "mc-rate"], ["--n-list", "64,0"], "positive integers"),
     (["theory", "fan"], ["--seed", "-1"], "non-negative integer"),
+    (["theory", "fan"], ["--dim", "0"], "positive integer"),
+    (["theory", "fan"], ["--d", "0"], "positive integer"),
+    (["theory", "fan"], ["--trials", "0"], "positive integer"),
+    (["theory", "chebyshev"], ["--n-train", "0"], "positive integer"),
+    (["theory", "chebyshev"], ["--n-test", "-5"], "positive integer"),
+    (BASELINE_RB, ["--n-test", "0"], "positive integer"),
+    (BASELINE_TAYLOR, ["--n-test", "0"], "positive integer"),
+    (SWEEP, ["--n-test", "0"], "positive integer"),
+    (GENERATE, ["--coeff-dim", "0"], "positive integer"),
+    (BASELINE_RB, ["--problem", "poisson"], "invalid choice"),
+    (BASELINE_TAYLOR, ["--problem", "darcy_piecewise"], "invalid choice"),
 ])
 def test_out_of_range_integer_flags_are_usage_errors(capsys, argv, flag, wanted):
     with pytest.raises(SystemExit) as exc:
@@ -388,6 +403,37 @@ def test_settings_that_do_not_fit_the_data_are_errors(tmp_path, capsys, argv, wa
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"opsurrogate {argv[0]}: error: ") and wanted in err
+
+
+@pytest.mark.parametrize("argv, wanted", [
+    (["theory", "fan", "--d", "7", "--dim", "6"], "d=7, dim=6"),
+    (["theory", "chebyshev", "--delta", "2"], "got 2.0"),
+])
+def test_theory_settings_that_do_not_fit_are_one_line_errors(capsys, argv, wanted):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opsurrogate theory: error: ") and err.count("\n") == 1
+    assert wanted in err
+
+
+def test_readme_cli_examples_parse():
+    # every `opsurrogate ...` command in README's code blocks, with its
+    # backslash continuations joined
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = [line.strip() for block in blocks
+                for line in re.sub(r"\\\n\s*", " ", block).splitlines()
+                if line.strip().startswith("opsurrogate ")]
+    assert len(commands) >= 12
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
 
 
 def test_learning_rate_report_names_each_rejected_rate():

@@ -41,6 +41,35 @@ def test_selu_keeps_float32_and_widens_everything_else():
     assert np.allclose(selu(x32), selu(x32.astype(np.float64)), rtol=1e-6)
 
 
+# The select-based SELU and derivative that the mask-free ufunc forms
+# replaced, kept as the reference they must reproduce bit for bit.
+
+def _reference_selu(x):
+    return SELU_LAMBDA * np.where(x > 0.0, x, SELU_ALPHA * np.expm1(x))
+
+
+def _reference_selu_prime(x):
+    return SELU_LAMBDA * np.where(x > 0.0, 1.0, SELU_ALPHA * np.exp(x))
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_selu_and_derivative_match_the_select_formulas_bit_for_bit(dtype):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30, 100.0, -100.0,
+               1e-45, -1e-45, 88.0, -88.0, 1e300, -1e300]
+    grid = np.concatenate([np.linspace(-20.0, 20.0, 4001), special, [-x for x in special]])
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((64, 517))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (grid.astype(dtype), block.astype(dtype), block.astype(dtype)[:, ::3]):
+            for fast, ref in ((selu, _reference_selu), (selu_prime, _reference_selu_prime)):
+                assert _same_bits(fast(x), ref(x)), (fast.__name__, dtype)
+
+
 def test_fit_linear_recovers_affine_map():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 6))

@@ -9,6 +9,7 @@ from opsurrogate.solvers import (
     darcy_solver,
     oracle_burgers_colehopf,
     solve_burgers,
+    solve_burgers_batch,
     solve_darcy,
     solve_poisson,
 )
@@ -76,6 +77,15 @@ def test_darcy_solver_maps_empty_batch_to_empty_batch():
     assert darcy_solver(ones)(np.zeros((0, 17 * 17))).shape == (0, 17 * 17)
 
 
+def test_single_interior_unknown_is_solved():
+    # n = 3 leaves one unknown; with a = f = 1 and h = 1/2 the 5-point
+    # stencil gives 16 u = 1
+    u = solve_poisson(GridFunction(BOX2D, 3, np.ones(9)))
+    expected = np.zeros(9)
+    expected[4] = 1.0 / 16.0
+    assert np.array_equal(u.values, expected)
+
+
 def test_darcy_rejects_nonpositive_coefficient():
     n = 9
     a = GridFunction(BOX2D, n, np.ones(n * n))
@@ -115,6 +125,50 @@ def test_burgers_energy_dissipation():
         norms.append(norm(u))
     assert norms[0] <= norm(u0) + 1e-12
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def _reference_burgers_batch(u0, beta, t_final, cfl_safety=0.5):
+    """The allocating integrating-factor RK4 loop that the in-place one
+    replaced, kept as the reference it must reproduce bit for bit."""
+    u0 = np.atleast_2d(np.asarray(u0, dtype=np.float64))
+    n = u0.shape[1]
+    umax = max(np.max(np.abs(u0)), 1e-8)
+    steps = max(1, int(np.ceil(t_final * umax / (cfl_safety * (1.0 / n)))))
+    dt = t_final / steps
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    mask = np.fft.rfftfreq(n, d=1.0 / n) <= n / 3.0
+    E = np.exp(0.5 * dt * (-beta * k ** 2))
+    E2 = E * E
+    ik_half = 0.5j * k
+
+    def nonlin(w):
+        u = np.fft.irfft(w, n=n)
+        return -ik_half * (np.fft.rfft(u * u) * mask)
+
+    w = np.fft.rfft(u0) * mask
+    for _ in range(steps):
+        k1 = dt * nonlin(w)
+        k2 = dt * nonlin(E * (w + 0.5 * k1))
+        k3 = dt * nonlin(E * w + 0.5 * k2)
+        k4 = dt * nonlin(E2 * w + E * k3)
+        w = E2 * w + (E2 * k1 + 2.0 * E * (k2 + k3) + k4) / 6.0
+    return np.fft.irfft(w, n=n)
+
+
+@pytest.mark.parametrize("rows, n, beta, t_final", [(6, 64, 0.01, 0.2),
+                                                    (3, 256, 0.002, 0.5),
+                                                    (1, 32, 0.05, 1.0)])
+def test_burgers_batch_matches_allocating_reference_bit_for_bit(rows, n, beta, t_final):
+    rng = np.random.default_rng(rows)
+    u0 = np.cumsum(rng.standard_normal((rows, n)), axis=1)
+    u0 -= u0.mean(axis=1, keepdims=True)
+    u0 /= np.max(np.abs(u0))
+    before = u0.copy()
+    out = solve_burgers_batch(u0, beta, t_final)
+    ref = _reference_burgers_batch(before, beta, t_final)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(u0.view(np.uint64), before.view(np.uint64))
 
 
 def test_burgers_requires_power_of_two():
