@@ -57,14 +57,14 @@ COEFFICIENT_PROBLEMS = ("darcy_lognormal", "darcy_piecewise")
 
 def _add_problem_args(p, problems=PROBLEMS):
     p.add_argument("--problem", required=True, choices=problems)
-    p.add_argument("--resolution", type=_int_at_least(2, "an integer >= 2"),
+    p.add_argument("--resolution", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
                    required=True)
     p.add_argument("--count", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--cutoff", type=_non_negative_int, default=None,
                    help="KL truncation wavenumber (default: grid Nyquist)")
-    p.add_argument("--beta", type=float, default=1e-2)
-    p.add_argument("--t-final", type=float, default=1.0)
+    p.add_argument("--beta", type=_positive_float, default=1e-2)
+    p.add_argument("--t-final", type=_positive_float, default=1.0)
     p.add_argument("--coeff-dim", type=_positive_int, default=64)
 
 
@@ -83,22 +83,24 @@ def _problem_config(args):
     )
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type: an integer of at least `low`; anything else is a
-    usage error that asks for `what`."""
-    def parse(text: str) -> int:
+def _checked(cast, ok, what: str):
+    """An argparse type: `cast(text)` when `ok` holds for it; anything else
+    is a usage error that asks for `what`."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            value = low - 1
-        if value < low:
+            value = None
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_non_negative_int = _int_at_least(0, "a non-negative integer")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: 0.0 < v < float("inf"),
+                           "a finite positive number")
 
 
 def _positive_ints(text: str) -> tuple:

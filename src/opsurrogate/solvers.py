@@ -1,7 +1,7 @@
 """Ground-truth forward maps: variable-coefficient elliptic flow on the unit
-square (second-order conservative finite differences, homogeneous Dirichlet,
-one sparse LU per operator) and the viscous Burgers flow map on the torus
-(pseudo-spectral, dealiased, integrating-factor RK4).
+square (second-order conservative finite differences, zero Dirichlet data,
+red-black reduction, one banded Cholesky per operator) and the viscous
+Burgers flow map on the torus (pseudo-spectral, dealiased, integrating-factor RK4).
 
 A Cole-Hopf construction is included purely as an independent validation
 oracle for the Burgers solver; it is never used in the surrogate pipeline.
@@ -9,12 +9,13 @@ oracle for the Burgers solver; it is never used in the surrogate pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import cg  # noqa: F401  (perfbench wraps this name; nothing calls it)
-from scipy.sparse.linalg import splu
 
 from .grid import BOX2D, TORUS1D, GridFunction, ShapeError
 
@@ -54,84 +55,139 @@ class BurgersProblem:
     def __post_init__(self):
         if self.u0.domain != TORUS1D:
             raise ShapeError("Burgers problems live on torus1d grids")
-        if self.beta <= 0.0:
-            raise DomainError("viscosity must be positive")
-        if self.t_final <= 0.0:
-            raise DomainError("t_final must be positive")
+        _check_burgers(self.beta, self.t_final)
+
+
+def _check_burgers(beta: float, t_final: float):
+    if not (0.0 < beta < np.inf and 0.0 < t_final < np.inf):
+        raise DomainError(f"viscosity ({beta}) and t_final ({t_final}) must be "
+                          "finite and positive")
 
 
 # ---------------------------------------------------------------------------
 # elliptic solver
 
-def _half_node_harmonic(a: np.ndarray, axis: int) -> np.ndarray:
-    """Harmonic mean of adjacent nodes along an axis (flux coefficients)."""
-    if axis == 0:
-        left, right = a[:-1, :], a[1:, :]
-    else:
-        left, right = a[:, :-1], a[:, 1:]
-    return 2.0 * left * right / (left + right)
-
-
-def assemble_darcy_system(a: GridFunction):
-    """Sparse SPD system for the interior unknowns of -div(a grad u) = f."""
+def _stencil(a: GridFunction):
+    """Five-point stencil of -div(a grad u) on the m x m interior, m = n - 2:
+    the diagonal (m, m), then the couplings (m-1, m) of (i, j) to (i+1, j)
+    and (m, m-1) of (i, j) to (i, j+1), whose negatives the matrix holds."""
     n = a.n
     if n < 3:
         raise ShapeError("need resolution >= 3 for interior unknowns")
     h = 1.0 / (n - 1)
     av = a.as_2d()
-    # flux coefficients at half nodes, within the interior block
-    a_s2 = _half_node_harmonic(av, axis=0)  # (n-1, n)
-    a_s1 = _half_node_harmonic(av, axis=1)  # (n, n-1)
-    m = n - 2
-    # interior node (i, j), i = s2 index in 1..n-2
-    aN = a_s2[1:, 1:-1]   # between (i, j) and (i+1, j)
-    aS = a_s2[:-1, 1:-1]
-    aE = a_s1[1:-1, 1:]
-    aW = a_s1[1:-1, :-1]
-    diag = (aN + aS + aE + aW).reshape(-1) / h ** 2
-    east = aE.copy()
-    east[:, -1] = 0.0
-    west = aW.copy()
-    west[:, 0] = 0.0
-    diagonals = [
-        diag,
-        -east.reshape(-1)[:-1] / h ** 2,
-        -west.reshape(-1)[1:] / h ** 2,
-        -aN[:-1, :].reshape(-1) / h ** 2,
-        -aS[1:, :].reshape(-1) / h ** 2,
-    ]
-    offsets = [0, 1, -1, m, -m]
+    # flux coefficients: harmonic means of adjacent nodes, at half nodes
+    a_s2 = 2.0 * av[:-1] * av[1:] / (av[:-1] + av[1:])  # (n-1, n)
+    a_s1 = 2.0 * av[:, :-1] * av[:, 1:] / (av[:, :-1] + av[:, 1:])  # (n, n-1)
+    aN, aS = a_s2[1:, 1:-1], a_s2[:-1, 1:-1]  # interior node (i, j) to (i+-1, j)
+    aE, aW = a_s1[1:-1, 1:], a_s1[1:-1, :-1]
+    return (aN + aS + aE + aW) / h ** 2, aN[:-1, :] / h ** 2, aE[:, :-1] / h ** 2
+
+
+def assemble_darcy_system(a: GridFunction):
+    """Sparse SPD system for the interior unknowns of -div(a grad u) = f."""
+    diag, vert, horiz = _stencil(a)
+    m = diag.shape[0]
     if m == 1:
         # one unknown: the off-diagonals are empty and +-m coincide with +-1
-        diagonals, offsets = diagonals[:1], offsets[:1]
-    return sp.diags(diagonals, offsets, format="csr")
+        return sp.diags([diag.reshape(-1)], [0], format="csr")
+    east = -np.pad(horiz, ((0, 0), (0, 1))).reshape(-1)[:-1]
+    north = -vert.reshape(-1)
+    return sp.diags([diag.reshape(-1), east, east, north, north], [0, 1, -1, m, -m],
+                    format="csr")
+
+
+def _add_neighbours(out, x, east, west, north, south):
+    """out += each of the four neighbours of x times its weights, the east
+    ones (m, m-1) indexed by the west node of the pair, and so on."""
+    out[:, :-1] += east * x[:, 1:]
+    out[:, 1:] += west * x[:, :-1]
+    out[:-1] += north * x[1:]
+    out[1:] += south * x[:-1]
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _red_black_maps(m: int):
+    """Flat indices of the black nodes (i + j even) of the m x m interior;
+    positions `src` of the black rows among the five entry arrays that
+    `darcy_solver` concatenates, and `dst` in the band storage it fills."""
+    black = np.indices((m, m)).sum(axis=0) % 2 == 0
+    order = np.cumsum(black).reshape(m, m) - 1  # row-major, on black nodes
+    src, dst, base = [], [], 0
+    # entries (0, 0), (0, +2), (+2, 0), (+1, +1), (+1, -1), each an array
+    # (rows, cols) indexed by the top row and left column of the pair
+    for di, dj, rows, cols in ((0, 0, m, m), (0, 2, m, m - 2), (2, 0, m - 2, m),
+                               (1, 1, m - 1, m - 1), (1, -1, m - 1, m - 1)):
+        r, c = np.indices((max(rows, 0), max(cols, 0)))
+        left = c + (dj < 0)
+        keep = black[r, left]
+        p, q = order[r, left][keep], order[r + di, left + dj][keep]
+        src.append(base + (r * cols + c)[keep])
+        dst.append(q * (m + 1) + m - (q - p))
+        base += r.size
+    return np.flatnonzero(black), np.concatenate(src), np.concatenate(dst)
 
 
 def darcy_solver(a: GridFunction):
-    """Factor -div(a grad u) once (SPD: symmetric ordering, no pivoting);
-    returns a map from forcing rows (k, n*n) to solution rows (k, n*n) with
-    zero boundary. Rows are solved one at a time, which keeps memory flat
-    and each row independent of the rest of the batch."""
-    n = a.n
-    lu = splu(assemble_darcy_system(a).tocsc(), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    """Factor -div(a grad u) once; returns a map from forcing rows (k, n*n)
+    to solution rows (k, n*n) with zero boundary.
+
+    Red-black reduction: the five-point stencil couples each node only to
+    nodes of the other colour (parity of i + j), so the red block D_R is
+    diagonal, and eliminating it leaves the SPD nine-point Schur complement
+    S = A_BB - A_BR D_R^-1 A_RB on half the unknowns, with bandwidth n - 2
+    in row-major order. S is built straight into band storage and factored
+    once by LAPACK's banded Cholesky (dpbtrf). Each row is solved alone, so
+    memory stays flat and no row depends on the batch:
+    u_B = S^-1 (f_B - A_BR D_R^-1 f_R), then u_R = D_R^-1 (f_R - A_RB u_B).
+    The input rows are not modified."""
+    if np.min(a.values) <= 0.0:  # a GridFunction is finite already
+        raise DomainError("coefficient must be strictly positive")
+    n, m = a.n, a.n - 2
+    diag, vert, horiz = _stencil(a)
+    black, src, dst = _red_black_maps(m)
+
+    # each coupling over the diagonal of the neighbour it reaches
+    to_east, to_west = horiz / diag[:, 1:], horiz / diag[:, :-1]
+    to_north, to_south = vert / diag[1:], vert / diag[:-1]
+    # diagonal: D_B minus coupling^2 / D_R over the four neighbours
+    h2, v2 = horiz ** 2, vert ** 2
+    entries = np.concatenate([
+        (diag - _add_neighbours(np.zeros_like(diag), 1.0 / diag, h2, h2, v2, v2)).reshape(-1),
+        -(to_east[:, :-1] * horiz[:, 1:]).reshape(-1),
+        -(to_north[:-1] * vert[1:]).reshape(-1),
+        -(to_east[:-1] * vert[:, 1:] + to_north[:, :-1] * horiz[1:]).reshape(-1),
+        -(to_west[:-1] * vert[:, :-1] + to_north[:, 1:] * horiz[1:]).reshape(-1),
+    ])
+    band = np.zeros((black.size, m + 1))
+    band.reshape(-1)[dst] = entries[src]
+    chol, info = lapack.dpbtrf(band.T, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError(f"banded Cholesky failed: leading minor {info} of "
+                             "the reduced operator is not positive definite")
 
     def solve(fs: np.ndarray) -> np.ndarray:
         fs = np.asarray(fs, dtype=np.float64).reshape(-1, n, n)
         us = np.zeros_like(fs)
         for f, u in zip(fs, us):
-            u[1:-1, 1:-1] = lu.solve(f[1:-1, 1:-1].reshape(-1)).reshape(n - 2, n - 2)
+            f = f[1:-1, 1:-1]
+            # f_B - A_BR D_R^-1 f_R on the black nodes (red ones are unused)
+            x = _add_neighbours(f.copy(), f, to_east, to_west, to_north, to_south)
+            u_black, _ = lapack.dpbtrs(chol, x.reshape(-1)[black])
+            x.reshape(-1)[black] = u_black
+            # (f_R - A_RB u_B) / D_R on the red nodes, whose neighbours are black
+            x = _add_neighbours(f.copy(), x, horiz, horiz, vert, vert)
+            x /= diag
+            x.reshape(-1)[black] = u_black
+            u[1:-1, 1:-1] = x
         return us.reshape(-1, n * n)
 
     return solve
 
 
 def solve_darcy(problem: EllipticProblem) -> GridFunction:
-    """Direct sparse-LU solve of one elliptic problem.
-
-    Flux coefficients use harmonic means of adjacent nodal values, which keeps
-    second-order accuracy and is robust for discontinuous coefficients.
-    """
+    """Direct solve of one elliptic problem (see `darcy_solver`)."""
     u = darcy_solver(problem.a)(problem.f.values)
     return GridFunction(BOX2D, problem.a.n, u[0])
 
@@ -172,6 +228,7 @@ def solve_burgers_batch(
     with N(w) = -(ik/2) P rfft(irfft(w)^2) and P the dealiasing mask.
     `u0` is not modified.
     """
+    _check_burgers(beta, t_final)
     u0 = np.atleast_2d(np.asarray(u0, dtype=np.float64))
     rows, n = u0.shape
     if n & (n - 1) != 0:

@@ -378,12 +378,29 @@ def test_out_of_range_integer_flags_are_usage_errors(capsys, argv, flag, wanted)
     assert "usage:" in err and flag[0] in err and wanted in err
 
 
+BURGERS = ["generate", "--problem", "burgers", "--resolution", "16", "--count", "2",
+           "--name", "data"]
+
+
+@pytest.mark.parametrize("flag", [["--beta", "-1"], ["--beta", "nan"], ["--beta", "0"],
+                                  ["--t-final", "inf"], ["--t-final", "0"],
+                                  ["--t-final", "x"]])
+def test_bad_burgers_float_flags_are_usage_errors(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*BURGERS, "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag[0] in err and "finite positive number" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_in_range_integer_flags_parse():
     args = build_parser().parse_args(
         [*SWEEP, "--count", "0", "--seed", "3", "--cutoff", "0", "--values", "8,16",
-         "--fit-seed", "0"])
+         "--fit-seed", "0", "--beta", "1e-3", "--t-final", "2"])
     assert (args.count, args.seed, args.cutoff, args.values, args.fit_seed) == \
         (0, 3, 0, (8, 16), 0)
+    assert (args.beta, args.t_final) == (1e-3, 2.0)
 
 
 @pytest.mark.parametrize("argv, wanted", [

@@ -6,6 +6,8 @@ from opsurrogate.solvers import (
     BurgersProblem,
     DomainError,
     EllipticProblem,
+    NumericalError,
+    assemble_darcy_system,
     darcy_solver,
     oracle_burgers_colehopf,
     solve_burgers,
@@ -86,6 +88,43 @@ def test_single_interior_unknown_is_solved():
     assert np.array_equal(u.values, expected)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17])
+def test_darcy_solver_matches_dense_solve(n):
+    # n = 3 leaves one unknown, and n - 2 takes both parities
+    rng = np.random.default_rng(n)
+    a = GridFunction(BOX2D, n, np.exp(rng.standard_normal(n * n)))
+    fs = rng.standard_normal((3, n * n))
+    before = fs.copy()
+    us = darcy_solver(a)(fs)
+    assert np.array_equal(fs, before)
+    A = assemble_darcy_system(a).toarray()
+    for f, u in zip(fs, us.reshape(-1, n, n)):
+        exact = np.linalg.solve(A, f.reshape(n, n)[1:-1, 1:-1].reshape(-1))
+        assert np.all(u[[0, -1], :] == 0.0) and np.all(u[:, [0, -1]] == 0.0)
+        err = np.max(np.abs(u[1:-1, 1:-1].reshape(-1) - exact))
+        assert err <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_darcy_piecewise_sample_solves_its_system_at_65():
+    from opsurrogate.datasets import ProblemConfig, generate_dataset
+    n = 65
+    ds = generate_dataset(ProblemConfig("darcy_piecewise", n, 2, seed=3))
+    f = np.ones((n - 2) ** 2)
+    for x, y in zip(ds.xs, ds.ys):
+        A = assemble_darcy_system(GridFunction(BOX2D, n, x))
+        r = A @ y.reshape(n, n)[1:-1, 1:-1].reshape(-1) - f
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_darcy_solver_reports_a_failed_cholesky():
+    # a contrast of 1e20 around the centre node cancels its reduced diagonal
+    # to rounding; the centre is the third black node in row-major order
+    a = np.ones((5, 5))
+    a[2, 1:4] = a[1:4, 2] = 1e20
+    with pytest.raises(NumericalError, match="leading minor 3"):
+        darcy_solver(GridFunction(BOX2D, 5, a.reshape(-1)))
+
+
 def test_darcy_rejects_nonpositive_coefficient():
     n = 9
     a = GridFunction(BOX2D, n, np.ones(n * n))
@@ -93,6 +132,11 @@ def test_darcy_rejects_nonpositive_coefficient():
     f = GridFunction(BOX2D, n, np.ones(n * n))
     with pytest.raises(DomainError):
         EllipticProblem(a_bad, f)
+    with pytest.raises(DomainError):
+        darcy_solver(a_bad)
+    # a = -1 would otherwise solve the negated problem
+    with pytest.raises(DomainError):
+        darcy_solver(GridFunction(BOX2D, 5, np.full(25, -1.0)))
 
 
 def test_burgers_zero_fixed_point():
@@ -183,6 +227,16 @@ def test_burgers_problem_invariants():
         BurgersProblem(u0, beta=-1.0, t_final=1.0)
     with pytest.raises((DomainError, ValueError)):
         BurgersProblem(u0, beta=0.01, t_final=0.0)
+
+
+@pytest.mark.parametrize("beta, t_final", [(-1.0, 1.0), (np.nan, 1.0), (0.0, 1.0),
+                                           (0.01, np.inf), (0.01, 0.0), (0.01, np.nan)])
+def test_burgers_batch_rejects_bad_parameters_before_stepping(beta, t_final):
+    u0 = np.sin(2 * np.pi * np.arange(16) / 16)[None, :]
+    with pytest.raises(DomainError):
+        solve_burgers_batch(u0, beta, t_final)
+    with pytest.raises(DomainError):
+        BurgersProblem(GridFunction(TORUS1D, 16, u0[0]), beta=beta, t_final=t_final)
 
 
 def test_colehopf_zero_input():
