@@ -492,15 +492,17 @@ def main(argv=None) -> int:
     _pin_threads(argv)  # must happen before numpy is imported
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .datasets import FormatError
     from .grid import ShapeError
     from .pca import PcaConfigError
     from .random_fields import ConfigError
 
     try:
         return args.func(args)
-    except (ConfigError, PcaConfigError, ShapeError) as exc:
+    except (ConfigError, PcaConfigError, ShapeError, FormatError) as exc:
         # a flag in its own range that does not fit the others or the data,
-        # such as a KL cutoff above the grid's Nyquist limit or d > N
+        # such as a KL cutoff above the grid's Nyquist limit or d > N, or a
+        # dataset or model file that does not match its `meta`
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

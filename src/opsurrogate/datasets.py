@@ -197,10 +197,20 @@ def write_bundle(directory: str, meta: dict, tensors: dict):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _meta_field(meta: dict, key: str, parse, path: str):
+    """`parse(meta[key])`, or a `FormatError` naming the file and the key."""
+    if key not in meta:
+        raise FormatError(f"{path}: missing key {key!r}")
+    try:
+        return parse(meta[key])
+    except ValueError:
+        raise FormatError(f"{path}: cannot parse {key} = {meta[key]!r}") from None
+
+
 def read_bundle_meta(directory: str, version: int) -> dict:
     path = os.path.join(directory, "meta")
     meta = read_meta(path)
-    if int(meta["format_version"]) != version:
+    if _meta_field(meta, "format_version", int, path) != version:
         raise FormatError(
             f"{path}: unsupported format_version {meta['format_version']} "
             f"(expected {version})"
@@ -244,25 +254,49 @@ def write_dataset(ds: Dataset, directory: str):
 
 
 def _parse_shape(s: str):
-    return tuple(int(t) for t in s.split("x"))
+    shape = tuple(int(t) for t in s.split("x"))
+    if len(shape) != 2:
+        raise ValueError(s)
+    return shape
+
+
+def _parse_problem(s: str) -> str:
+    if s not in PROBLEMS:
+        raise ValueError(s)
+    return s
 
 
 def read_dataset(directory: str) -> Dataset:
+    """Load a dataset directory. Every key read from `meta` must be present
+    and parse, and the stored shapes must agree with `count`, `resolution`
+    and the problem's domain, or a `FormatError` names the file."""
     # unread keys are ignored, so directories with retired meta keys still load
     meta = read_bundle_meta(directory, FORMAT_VERSION)
+    path = os.path.join(directory, "meta")
+
+    def field(key, parse):
+        return _meta_field(meta, key, parse, path)
+
     cfg = ProblemConfig(
-        problem=meta["problem"],
-        resolution=int(meta["resolution"]),
-        count=int(meta["count"]),
-        seed=int(meta["seed"]),
-        cutoff=int(meta["cutoff"]),
-        beta=float(meta["beta"]),
-        t_final=float(meta["t_final"]),
-        coeff_dim=int(meta["coeff_dim"]),
+        problem=field("problem", _parse_problem),
+        resolution=field("resolution", int),
+        count=field("count", int),
+        seed=field("seed", int),
+        cutoff=field("cutoff", int),
+        beta=field("beta", float),
+        t_final=field("t_final", float),
+        coeff_dim=field("coeff_dim", int),
     )
-    xs = read_tensor(directory, "x", _parse_shape(meta["x_shape"]))
-    ys = read_tensor(directory, "y", _parse_shape(meta["y_shape"]))
-    xis = None
-    if "xi_shape" in meta:
-        xis = read_tensor(directory, "xi", _parse_shape(meta["xi_shape"]))
-    return Dataset(cfg, xs, ys, xis=xis)
+    names = ("x", "y", "xi") if "xi_shape" in meta else ("x", "y")
+    shapes = {name: field(f"{name}_shape", _parse_shape) for name in names}
+    width = cfg.resolution ** 2 if cfg.domain == BOX2D else cfg.resolution
+    for name, (rows, cols) in shapes.items():
+        if rows != cfg.count:
+            raise FormatError(f"{path}: {name}_shape = {meta[name + '_shape']} holds "
+                              f"{rows} rows but count = {cfg.count}")
+        if name != "xi" and cols != width:
+            raise FormatError(f"{path}: {name}_shape = {meta[name + '_shape']} has rows "
+                              f"of {cols} points; {cfg.domain} resolution "
+                              f"{cfg.resolution} has {width}")
+    tensors = {name: read_tensor(directory, name, shape) for name, shape in shapes.items()}
+    return Dataset(cfg, tensors["x"], tensors["y"], xis=tensors.get("xi"))

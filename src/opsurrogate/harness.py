@@ -23,6 +23,7 @@ from .datasets import (
     subsample_dataset,
     write_bundle,
 )
+from .grid import ShapeError
 from .pca import PcaModel, fit_pca, transfer_basis
 from .regressors import DEFAULT_HIDDEN, LinearModel, MlpModel, TrainConfig
 from .surrogate import Surrogate, fit_surrogate, relative_test_error
@@ -156,12 +157,17 @@ def transfer_surrogate(sur: Surrogate, target_n: int) -> tuple[Surrogate, float]
 def evaluate(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False):
     """Relative test error, per-prediction online seconds, and the number of
     zero-norm test targets left out of the error."""
-    if test_ds.resolution != sur.pca_in.n:
+    grid = (sur.pca_in.domain, sur.pca_in.n)
+    test_grid = (test_ds.config.domain, test_ds.resolution)
+    if grid != test_grid:
+        described = (f"surrogate grid {grid[0]} n={grid[1]} does not match test "
+                     f"grid {test_grid[0]} n={test_grid[1]}")
+        if grid[0] != test_grid[0]:
+            raise ShapeError(f"{described}; --transfer moves a basis to another "
+                             "resolution, not to another domain")
         if not allow_transfer:
-            raise ValueError(
-                f"surrogate grid n={sur.pca_in.n} does not match test grid "
-                f"n={test_ds.resolution}; pass allow_transfer to move the basis"
-            )
+            raise ShapeError(f"{described}; use --transfer (allow_transfer) to "
+                             "move the PCA bases to the test grid")
         sur, _ = transfer_surrogate(sur, test_ds.resolution)
     t0 = time.perf_counter()
     error, skipped = relative_test_error(sur, test_ds.xs, test_ds.ys)

@@ -217,16 +217,20 @@ def solve_burgers_batch(
 
     Fourier pseudo-spectral in space with 2/3-rule dealiasing of the quadratic
     flux; diffusion handled exactly by integrating factors; classical RK4 in
-    the transformed variable. One shared time step is picked from the
-    advective CFL bound over the whole batch (|u| obeys a maximum principle,
-    so the initial data bounds the wave speed for all time).
+    the transformed variable. Each row takes its own time step from the
+    advective CFL bound on its own data (|u| obeys a maximum principle, so
+    the initial data bounds the wave speed for all time). Rows are therefore
+    independent of their batch: every output row equals the solve of that
+    row alone, bit for bit. The rows are sorted by step count, and each step
+    advances only the prefix that still has steps left.
 
-    Every stage is formed in place in preallocated buffers, one operation
-    at a time in the order of the textbook expressions
+    The state holds only the kc modes that the dealiasing keeps; irfft
+    zero-pads the rest. Every stage is formed in place in preallocated
+    buffers, one operation at a time in the order of the textbook expressions
         k1 = dt N(w),  k2 = dt N(E (w + k1/2)),  k3 = dt N(E w + k2/2),
         k4 = dt N(E^2 w + E k3),  w <- E^2 w + (E^2 k1 + 2E (k2 + k3) + k4)/6,
-    with N(w) = -(ik/2) P rfft(irfft(w)^2) and P the dealiasing mask.
-    `u0` is not modified.
+    with N(w) = -(ik/2) P rfft(irfft(w)^2) and P the projection on the kept
+    modes. `u0` is not modified.
     """
     _check_burgers(beta, t_final)
     u0 = np.atleast_2d(np.asarray(u0, dtype=np.float64))
@@ -234,12 +238,15 @@ def solve_burgers_batch(
     if n & (n - 1) != 0:
         raise ShapeError(f"resolution {n} must be a power of two")
     h = 1.0 / n
-    umax = max(np.max(np.abs(u0)), 1e-8)
-    steps = max(1, int(np.ceil(t_final * umax / (cfl_safety * h))))
-    dt = t_final / steps
+    umax = np.maximum(np.max(np.abs(u0), axis=1, initial=0.0), 1e-8)
+    steps = np.maximum(1, np.ceil(t_final * umax / (cfl_safety * h)).astype(np.int64))
+    # most steps first, so the rows still stepping are always a prefix
+    order = np.argsort(-steps, kind="stable")
+    steps = steps[order]
+    dt = t_final / steps[:, None]
 
-    k = _wavenumbers(n)
-    mask = _dealias_mask(n)
+    kc = int(np.count_nonzero(_dealias_mask(n)))
+    k = _wavenumbers(n)[:kc]
     lam = -beta * k ** 2
     E = np.exp(0.5 * dt * lam)
     # the factors go in as complex, which is the exact cast that multiplying
@@ -247,50 +254,61 @@ def solve_burgers_batch(
     E2 = (E * E).astype(np.complex128)
     two_E = (2.0 * E).astype(np.complex128)
     E = E.astype(np.complex128)
+    dt = dt.astype(np.complex128)
     minus_ik_half = -(0.5j * k)
 
     u = np.empty((rows, n))
-    k1, k2, k3, k4, s1, s2 = (np.empty((rows, n // 2 + 1), dtype=np.complex128)
+    spectrum = np.empty((rows, n // 2 + 1), dtype=np.complex128)
+    k1, k2, k3, k4, s1, s2 = (np.empty((rows, kc), dtype=np.complex128)
                               for _ in range(6))
+    w = np.fft.rfft(u0[order])[:, :kc].copy()
 
     def nonlin(src, dst):
-        """dst <- dt N(src); overwrites `u`."""
-        np.fft.irfft(src, n=n, out=u)
-        np.multiply(u, u, out=u)
-        np.fft.rfft(u, out=dst)
-        dst *= mask
-        np.multiply(minus_ik_half, dst, out=dst)
-        dst *= dt
+        """dst <- dt N(src) on the first len(src) rows; overwrites `u` and
+        `spectrum` there."""
+        lu, lspec = u[:len(src)], spectrum[:len(src)]
+        np.fft.irfft(src, n=n, out=lu)
+        np.multiply(lu, lu, out=lu)
+        np.fft.rfft(lu, out=lspec)
+        np.multiply(minus_ik_half, lspec[:, :kc], out=dst)
+        dst *= dt[:len(src)]
 
-    w = np.fft.rfft(u0) * mask
-    for step in range(steps):
-        nonlin(w, k1)
-        np.multiply(k1, 0.5, out=s1)
-        s1 += w
-        s1 *= E
-        nonlin(s1, k2)
-        np.multiply(E, w, out=s1)
-        np.multiply(k2, 0.5, out=s2)
-        s1 += s2
-        nonlin(s1, k3)
-        np.multiply(E2, w, out=s1)
-        np.multiply(E, k3, out=s2)
-        np.add(s1, s2, out=s2)
-        nonlin(s2, k4)
+    live = rows
+    for step in range(steps.max(initial=0)):
+        while steps[live - 1] <= step:
+            live -= 1
+        # views on the rows still stepping
+        lw, l1, l2, l3, l4, ls1, ls2, lE, lE2, l2E = (
+            a[:live] for a in (w, k1, k2, k3, k4, s1, s2, E, E2, two_E))
+        nonlin(lw, l1)
+        np.multiply(l1, 0.5, out=ls1)
+        ls1 += lw
+        ls1 *= lE
+        nonlin(ls1, l2)
+        np.multiply(lE, lw, out=ls1)
+        np.multiply(l2, 0.5, out=ls2)
+        ls1 += ls2
+        nonlin(ls1, l3)
+        np.multiply(lE2, lw, out=ls1)
+        np.multiply(lE, l3, out=ls2)
+        np.add(ls1, ls2, out=ls2)
+        nonlin(ls2, l4)
         # w <- E2 w + (E2 k1 + 2E (k2 + k3) + k4) / 6, with s1 = E2 w
-        k2 += k3
-        k2 *= two_E
-        k1 *= E2
-        k1 += k2
-        k1 += k4
-        k1 /= 6.0
-        np.add(s1, k1, out=w)
-        if step % 64 == 0 and not np.all(np.isfinite(w.view(np.float64))):
-            raise NumericalError(f"Burgers solve blew up at step {step}/{steps}")
+        l2 += l3
+        l2 *= l2E
+        l1 *= lE2
+        l1 += l2
+        l1 += l4
+        l1 /= 6.0
+        np.add(ls1, l1, out=lw)
+        if step % 64 == 0 and not np.all(np.isfinite(lw.view(np.float64))):
+            raise NumericalError(f"Burgers solve blew up at step {step}/{steps[0]}")
     np.fft.irfft(w, n=n, out=u)
     if not np.all(np.isfinite(u)):
         raise NumericalError("Burgers solve produced non-finite values")
-    return u
+    out = np.empty_like(u)
+    out[order] = u
+    return out
 
 
 def solve_burgers(problem: BurgersProblem) -> GridFunction:

@@ -108,6 +108,63 @@ def test_read_rejects_truncated_tensor(tmp_path):
     assert str(x) in message and str(4 * 289 * 8) in message and "96" in message
 
 
+def _poisson_on_disk(tmp_path, count=4):
+    ds = generate_dataset(ProblemConfig(problem="poisson", resolution=9,
+                                        count=count, seed=8))
+    path = tmp_path / "ds"
+    write_dataset(ds, str(path))
+    return path, read_meta(str(path / "meta"))
+
+
+def test_read_rejects_missing_meta_key(tmp_path):
+    path, meta = _poisson_on_disk(tmp_path)
+    del meta["problem"]
+    write_meta(str(path / "meta"), meta)
+    with pytest.raises(FormatError) as exc:
+        read_dataset(str(path))
+    assert str(path / "meta") in str(exc.value) and "'problem'" in str(exc.value)
+
+
+@pytest.mark.parametrize("key, value", [("x_shape", "4xabc"), ("resolution", "nine"),
+                                        ("format_version", "one"), ("problem", "heat")])
+def test_read_rejects_unparsable_meta_value(tmp_path, key, value):
+    path, meta = _poisson_on_disk(tmp_path)
+    meta[key] = value
+    write_meta(str(path / "meta"), meta)
+    with pytest.raises(FormatError) as exc:
+        read_dataset(str(path))
+    assert str(path / "meta") in str(exc.value) and key in str(exc.value)
+
+
+def test_read_rejects_count_that_disagrees_with_rows(tmp_path):
+    path, meta = _poisson_on_disk(tmp_path, count=8)
+    meta["count"] = 3
+    write_meta(str(path / "meta"), meta)
+    with pytest.raises(FormatError) as exc:
+        read_dataset(str(path))
+    message = str(exc.value)
+    assert str(path / "meta") in message and "count = 3" in message and "8 rows" in message
+
+
+def test_read_rejects_rows_that_do_not_fit_resolution(tmp_path):
+    path, meta = _poisson_on_disk(tmp_path)
+    meta["resolution"] = 17
+    write_meta(str(path / "meta"), meta)
+    with pytest.raises(FormatError) as exc:
+        read_dataset(str(path))
+    message = str(exc.value)
+    assert str(path / "meta") in message and "81 points" in message and "289" in message
+
+
+def test_burgers_samples_do_not_depend_on_the_count():
+    cfg = ProblemConfig(problem="burgers", resolution=256, count=256, seed=15)
+    full = generate_dataset(cfg)
+    head = generate_dataset(ProblemConfig(problem="burgers", resolution=256,
+                                          count=32, seed=15))
+    assert np.array_equal(head.xs, full.xs[:32])
+    assert np.array_equal(head.ys.view(np.uint64), full.ys[:32].view(np.uint64))
+
+
 def test_fixed_coefficient_is_deterministic():
     a1 = fixed_coefficient(33)
     a2 = fixed_coefficient(33)

@@ -310,6 +310,32 @@ def test_cli_eval_empty_test_set_is_usage_error(tmp_path):
     assert proc.returncode != 0
 
 
+def test_cli_eval_on_another_grid_points_to_transfer(tmp_path):
+    for name, n in (("train", "17"), ("coarse", "9")):
+        run_cli(["generate", "--problem", "poisson", "--resolution", n,
+                 "--count", "12", "--seed", "26", "--threads", "1",
+                 "--out", str(tmp_path), "--name", name], cwd=str(tmp_path))
+    run_cli(["fit", "--dataset", str(tmp_path / "train"), "--d", "4",
+             "--regressor", "linear", "--threads", "1",
+             "--out", str(tmp_path), "--name", "model"], cwd=str(tmp_path))
+    proc = run_cli(["eval", "--model", str(tmp_path / "model"),
+                    "--dataset", str(tmp_path / "coarse")],
+                   cwd=str(tmp_path), check=False)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--transfer" in proc.stderr and "n=17" in proc.stderr and "n=9" in proc.stderr
+
+
+def test_solver_validation_demo_runs():
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "solver_validation.py")
+    proc = subprocess.run([sys.executable, demo], env=single_threaded_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    match = re.search(r"Burgers vs Cole-Hopf.*\n\s+relative L2 error (\S+)", proc.stdout)
+    assert match and float(match.group(1)) < 1e-6, proc.stdout
+
+
 def test_cli_theory_commands(tmp_path):
     proc = run_cli(["theory", "fan", "--trials", "200", "--threads", "1"],
                    cwd=str(tmp_path))

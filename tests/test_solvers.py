@@ -209,10 +209,35 @@ def test_burgers_batch_matches_allocating_reference_bit_for_bit(rows, n, beta, t
     u0 /= np.max(np.abs(u0))
     before = u0.copy()
     out = solve_burgers_batch(u0, beta, t_final)
-    ref = _reference_burgers_batch(before, beta, t_final)
+    # each row takes its own step, so the reference runs one row at a time
+    ref = np.stack([_reference_burgers_batch(before[i:i + 1], beta, t_final)[0]
+                    for i in range(rows)])
     assert out.dtype == ref.dtype and out.shape == ref.shape
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert np.array_equal(u0.view(np.uint64), before.view(np.uint64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_burgers_batch_rows_are_independent_of_their_batch():
+    # amplitudes 0.05..1 make the per-row step counts differ by more than 10x,
+    # and the all-zero row takes a single step
+    n, beta, t_final = 64, 0.01, 1.0
+    rng = np.random.default_rng(5)
+    u0 = np.cumsum(rng.standard_normal((7, n)), axis=1)
+    u0 -= u0.mean(axis=1, keepdims=True)
+    u0 /= np.max(np.abs(u0), axis=1, keepdims=True)
+    u0 *= np.linspace(0.05, 1.0, 7)[:, None]
+    u0 = np.vstack([u0, np.zeros(n)])
+    out = solve_burgers_batch(u0, beta, t_final)
+    for row, got in zip(u0, out):
+        alone = solve_burgers(BurgersProblem(GridFunction(TORUS1D, n, row), beta, t_final))
+        assert np.array_equal(_bits(got), _bits(alone.values))
+    perm = np.random.default_rng(6).permutation(len(u0))
+    assert np.array_equal(_bits(solve_burgers_batch(u0[perm], beta, t_final)),
+                          _bits(out[perm]))
 
 
 def test_burgers_requires_power_of_two():
