@@ -197,7 +197,7 @@ def write_bundle(directory: str, meta: dict, tensors: dict):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _meta_field(meta: dict, key: str, parse, path: str):
+def meta_field(meta: dict, key: str, parse, path: str):
     """`parse(meta[key])`, or a `FormatError` naming the file and the key."""
     if key not in meta:
         raise FormatError(f"{path}: missing key {key!r}")
@@ -207,10 +207,19 @@ def _meta_field(meta: dict, key: str, parse, path: str):
         raise FormatError(f"{path}: cannot parse {key} = {meta[key]!r}") from None
 
 
+def parse_choice(*choices):
+    """A `meta_field` parser that accepts exactly one of `choices`."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
+    return parse
+
+
 def read_bundle_meta(directory: str, version: int) -> dict:
     path = os.path.join(directory, "meta")
     meta = read_meta(path)
-    if _meta_field(meta, "format_version", int, path) != version:
+    if meta_field(meta, "format_version", int, path) != version:
         raise FormatError(
             f"{path}: unsupported format_version {meta['format_version']} "
             f"(expected {version})"
@@ -260,25 +269,20 @@ def _parse_shape(s: str):
     return shape
 
 
-def _parse_problem(s: str) -> str:
-    if s not in PROBLEMS:
-        raise ValueError(s)
-    return s
-
-
 def read_dataset(directory: str) -> Dataset:
     """Load a dataset directory. Every key read from `meta` must be present
-    and parse, and the stored shapes must agree with `count`, `resolution`
-    and the problem's domain, or a `FormatError` names the file."""
+    and parse, the stored shapes must agree with `count`, `resolution` and
+    the problem's domain, and every stored value must be finite, or a
+    `FormatError` names the file."""
     # unread keys are ignored, so directories with retired meta keys still load
     meta = read_bundle_meta(directory, FORMAT_VERSION)
     path = os.path.join(directory, "meta")
 
     def field(key, parse):
-        return _meta_field(meta, key, parse, path)
+        return meta_field(meta, key, parse, path)
 
     cfg = ProblemConfig(
-        problem=field("problem", _parse_problem),
+        problem=field("problem", parse_choice(*PROBLEMS)),
         resolution=field("resolution", int),
         count=field("count", int),
         seed=field("seed", int),
@@ -299,4 +303,9 @@ def read_dataset(directory: str) -> Dataset:
                               f"of {cols} points; {cfg.domain} resolution "
                               f"{cfg.resolution} has {width}")
     tensors = {name: read_tensor(directory, name, shape) for name, shape in shapes.items()}
+    for name, values in tensors.items():
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise FormatError(f"{os.path.join(directory, name + '.f64')}: row {bad[0]} "
+                              "holds a non-finite value")
     return Dataset(cfg, tensors["x"], tensors["y"], xis=tensors.get("xi"))

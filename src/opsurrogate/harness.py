@@ -18,12 +18,14 @@ import numpy as np
 from .datasets import (
     Dataset,
     ProblemConfig,
+    meta_field,
+    parse_choice,
     read_bundle_meta,
     read_tensor,
     subsample_dataset,
     write_bundle,
 )
-from .grid import ShapeError
+from .grid import BOX2D, TORUS1D, ShapeError
 from .pca import PcaModel, fit_pca, transfer_basis
 from .regressors import DEFAULT_HIDDEN, LinearModel, MlpModel, TrainConfig
 from .surrogate import Surrogate, fit_surrogate, relative_test_error
@@ -112,26 +114,40 @@ def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = Non
                 writer.writerow([i, repr(loss), test_val])
 
 
+def _parse_dims(text: str) -> list[int]:
+    dims = [int(v) for v in text.split("x")]
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(text)
+    return dims
+
+
 def load_surrogate(directory: str) -> Surrogate:
+    """Load a model directory. Every key read from `meta` must be present
+    and parse, or a `FormatError` names the file and the key."""
     meta = read_bundle_meta(directory, MODEL_FORMAT_VERSION)
-    weighted = bool(int(meta["weighted"]))
+    path = os.path.join(directory, "meta")
+
+    def field(key, parse):
+        return meta_field(meta, key, parse, path)
+
+    weighted = bool(field("weighted", int))
     pcas = []
     for side in ("in", "out"):
-        domain = meta[f"domain_{side}"]
-        n, d = int(meta[f"n_{side}"]), int(meta[f"d_{side}"])
-        points = n ** 2 if domain == "box2d" else n
-        eigs = read_tensor(directory, f"eigs_{side}", (int(meta[f"n_eigs_{side}"]),))
+        domain = field(f"domain_{side}", parse_choice(BOX2D, TORUS1D))
+        n, d = field(f"n_{side}", int), field(f"d_{side}", int)
+        points = n ** 2 if domain == BOX2D else n
+        eigs = read_tensor(directory, f"eigs_{side}", (field(f"n_eigs_{side}", int),))
         basis = read_tensor(directory, f"basis_{side}", (d, points))
         pcas.append(PcaModel(domain, n, d, basis, eigs, weighted=weighted))
     pca_in, pca_out = pcas
     d_in, d_out = pca_in.d, pca_out.d
     mean = read_tensor(directory, "input_mean", (d_in,))
     std = read_tensor(directory, "input_std", (d_in,))
-    if meta["regressor"] == "linear":
+    if field("regressor", parse_choice("linear", "nn")) == "linear":
         reg = LinearModel(read_tensor(directory, "lin_matrix", (d_out, d_in)),
                           read_tensor(directory, "lin_bias", (d_out,)))
     else:
-        dims = [int(v) for v in meta["layer_dims"].split("x")]
+        dims = field("layer_dims", _parse_dims)
         weights, biases = [], []
         for i, (fi, fo) in enumerate(zip(dims[:-1], dims[1:])):
             weights.append(read_tensor(directory, f"w{i}", (fo, fi)))
@@ -154,20 +170,29 @@ def transfer_surrogate(sur: Surrogate, target_n: int) -> tuple[Surrogate, float]
     return replace(sur, pca_in=pca_in, pca_out=pca_out), max(res_in, res_out)
 
 
+def needs_transfer(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False) -> bool:
+    """Whether `test_ds` lies on another resolution than the surrogate's
+    input grid. A `ShapeError` naming both grids says when it lies on
+    another domain, or on another resolution without `allow_transfer`."""
+    grid = (sur.pca_in.domain, sur.pca_in.n)
+    test_grid = (test_ds.config.domain, test_ds.resolution)
+    if grid == test_grid:
+        return False
+    described = (f"surrogate grid {grid[0]} n={grid[1]} does not match test "
+                 f"grid {test_grid[0]} n={test_grid[1]}")
+    if grid[0] != test_grid[0]:
+        raise ShapeError(f"{described}; a transfer moves the bases to another "
+                         "resolution, not to another domain")
+    if not allow_transfer:
+        raise ShapeError(f"{described}; use --transfer (allow_transfer) to "
+                         "move the PCA bases to the test grid")
+    return True
+
+
 def evaluate(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False):
     """Relative test error, per-prediction online seconds, and the number of
     zero-norm test targets left out of the error."""
-    grid = (sur.pca_in.domain, sur.pca_in.n)
-    test_grid = (test_ds.config.domain, test_ds.resolution)
-    if grid != test_grid:
-        described = (f"surrogate grid {grid[0]} n={grid[1]} does not match test "
-                     f"grid {test_grid[0]} n={test_grid[1]}")
-        if grid[0] != test_grid[0]:
-            raise ShapeError(f"{described}; --transfer moves a basis to another "
-                             "resolution, not to another domain")
-        if not allow_transfer:
-            raise ShapeError(f"{described}; use --transfer (allow_transfer) to "
-                             "move the PCA bases to the test grid")
+    if needs_transfer(sur, test_ds, allow_transfer):
         sur, _ = transfer_surrogate(sur, test_ds.resolution)
     t0 = time.perf_counter()
     error, skipped = relative_test_error(sur, test_ds.xs, test_ds.ys)

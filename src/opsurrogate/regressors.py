@@ -190,30 +190,32 @@ def mlp_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(diff ** 2))
 
 
-# nesterov_step walks its four vectors in blocks of this many elements:
-# 4 x 128 KiB of float32 (4 x 256 KiB of float64), which stays in a 1-2 MiB
+# nesterov_step walks its three vectors in blocks of this many elements:
+# 3 x 128 KiB of float32 (3 x 256 KiB of float64), which stays in a 1-2 MiB
 # L2 cache between the six passes
 NESTEROV_BLOCK = 32768
 
 
-def nesterov_step(theta, velocity, lookahead, grad, lr, momentum):
-    """One lookahead-form Nesterov update, in place on flat vectors.
+def nesterov_step(phi, velocity, grad, lr, momentum):
+    """One reparametrized Nesterov update, in place on flat vectors.
 
-    `grad` holds the gradient at `lookahead` = theta + m v. The step sets
-    v <- m v - lr * grad and theta <- theta + v, then writes the next
-    lookahead theta + m v; `grad` is left scaled by lr. Each block of the
-    vectors goes through all of it while it is in cache. The arithmetic is
-    in the vectors' dtype; training passes float32 vectors and scalars.
+    The stored iterate is the look-ahead point phi = theta + m v, and `grad`
+    holds the gradient at phi. The step sets v <- m v - lr * grad and
+    phi <- phi - lr * grad + m v (Bengio et al. 2012, arXiv:1212.0901), which
+    is lookahead-form Nesterov with phi in place of theta; `grad` is left
+    holding m v. Each block of the vectors goes through all of it while it
+    is in cache. The arithmetic is in the vectors' dtype; training passes
+    float32 vectors and scalars.
     """
-    for start in range(0, theta.size, NESTEROV_BLOCK):
+    for start in range(0, phi.size, NESTEROV_BLOCK):
         block = slice(start, start + NESTEROV_BLOCK)
-        t, v, g, look = theta[block], velocity[block], grad[block], lookahead[block]
-        v *= momentum
+        p, v, g = phi[block], velocity[block], grad[block]
         g *= lr
+        v *= momentum
         v -= g
-        t += v
-        np.multiply(v, momentum, out=look)
-        look += t
+        p -= g
+        np.multiply(v, momentum, out=g)
+        p += g
 
 
 @dataclass
@@ -225,42 +227,49 @@ class TrainResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _load_flat(flat: np.ndarray, model: MlpModel) -> MlpModel:
+    """Copy the weights of `model` into `flat`, cast to its dtype; returns
+    the views of `flat` that hold them."""
+    views = _flat_views(flat, model.dims)
+    for dst, src in zip(views.weights + views.biases, model.weights + model.biases):
+        dst[...] = src
+    return views
+
+
 # blow-ups are expected while probing learning rates and are detected
 # through the loss check below, so the overflow warnings are just noise
 @np.errstate(over="ignore", invalid="ignore")
-def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, test_metric_fn, buffers):
+def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, blowup: float,
+             test_metric_fn, buffers):
     """Train in float32 from the weights of `init` in the flat float32
-    vectors `buffers` = (theta, velocity, lookahead, gradient), on the data
-    `x32`, `y32`. Each epoch's loss, and the starting loss that sets the
-    blow-up threshold, is the float64 MSE of the float32 network against
-    `y`. Returns ((history, test_history), None), one entry per epoch, with
-    the trained weights left in theta, or (None, blow-up diagnostic
-    string)."""
-    theta, vel, look, grad = buffers
-    model, look_model, grad_model = (_flat_views(buf, init.dims) for buf in (theta, look, grad))
-    for dst, src in zip(model.weights + model.biases, init.weights + init.biases):
-        dst[...] = src
+    vectors `buffers` = (phi, velocity, gradient), on the data `x32`, `y32`.
+    Each epoch's loss is the float64 MSE of the network phi against `y`; an
+    epoch whose loss exceeds `blowup` or is not finite rejects the candidate
+    before `test_metric_fn` runs. The metric sees the float32 phi of every
+    epoch but the last, which the caller measures on the float64 upcast.
+    Returns ((history, test_history), None), with the trained weights left
+    in phi, or (None, blow-up diagnostic string)."""
+    flat_phi, vel, grad = buffers
+    phi = _load_flat(flat_phi, init)
+    grad_model = _flat_views(grad, init.dims)
     lr, momentum = np.float32(lr), np.float32(cfg.momentum)
     vel.fill(0.0)
-    np.multiply(vel, momentum, out=look)  # the first step's lookahead
-    look += theta
     n = x32.shape[0]
     batch = min(cfg.batch_size, n)
     rng = np.random.default_rng(cfg.seed)
-    blowup = cfg.blowup_factor * max(mlp_loss(model, x32, y), 1e-30)
     history, test_history = [], []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            mlp_loss_and_grads(look_model, x32[idx], y32[idx], out=grad_model)
-            nesterov_step(theta, vel, look, grad, lr, momentum)
-        loss = mlp_loss(model, x32, y)
-        history.append(loss)
-        if test_metric_fn:
-            test_history.append(test_metric_fn(model))
+            mlp_loss_and_grads(phi, x32[idx], y32[idx], out=grad_model)
+            nesterov_step(flat_phi, vel, grad, lr, momentum)
+        loss = mlp_loss(phi, x32, y)
         if not np.isfinite(loss) or loss > blowup:
             return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
+        history.append(loss)
+        if test_metric_fn and epoch != cfg.epochs - 1:
+            test_history.append(test_metric_fn(phi))
     return (history, test_history), None
 
 
@@ -273,15 +282,19 @@ def train_mlp(
 ) -> TrainResult:
     """Minibatch Nesterov SGD on the MSE of latent pairs, in float32.
 
-    Learning-rate candidates are tried from largest to smallest; a candidate
-    is rejected (and training restarted from the float32 cast of the initial
-    weights) as soon as the epoch loss exceeds blowup_factor times the loss
-    of that cast or turns non-finite. The first entries of the histories are
-    the loss and metric of `model` itself in float64; each later loss is the
-    float64 MSE of the float32 network's prediction, and `test_metric_fn`
-    sees that same network. `model` is left unchanged; the trained weights
-    are the exact float64 upcast of the float32 ones, views into one flat
-    parameter vector.
+    Training holds three flat float32 vectors, reused by every candidate:
+    the look-ahead iterate phi, the velocity and the gradient (see
+    `nesterov_step`). Learning-rate candidates are tried from largest to
+    smallest; a candidate is rejected (and training restarted from the
+    float32 cast of the initial weights) as soon as the epoch loss exceeds
+    blowup_factor times the loss of that cast, computed once per fit, or
+    turns non-finite. The first entries of the histories are the loss and
+    metric of `model` itself in float64; each later loss is the float64 MSE
+    of the float32 network phi. `test_metric_fn` gets the float32 phi after
+    each epoch but the last, and the returned float64 model after the last;
+    an epoch that rejects its candidate gets no metric.
+    `model` is left unchanged; the trained weights are the exact float64
+    upcast of the final phi, views into one flat parameter vector.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -289,14 +302,18 @@ def train_mlp(
     loss0 = mlp_loss(model, x, y)
     test0 = [test_metric_fn(model)] if test_metric_fn else []
     size = sum(W.size + b.size for W, b in zip(model.weights, model.biases))
-    # theta, velocity, lookahead, gradient: reused by every candidate
-    buffers = [np.empty(size, dtype=np.float32) for _ in range(4)]
+    # phi, velocity, gradient
+    buffers = [np.empty(size, dtype=np.float32) for _ in range(3)]
+    blowup = cfg.blowup_factor * max(mlp_loss(_load_flat(buffers[0], model), x32, y), 1e-30)
     failures = {}
     for lr in cfg.learning_rates:
-        result, failure = _run_sgd(model, x32, y32, y, cfg, lr, test_metric_fn, buffers)
+        result, failure = _run_sgd(model, x32, y32, y, cfg, lr, blowup, test_metric_fn,
+                                   buffers)
         if result is not None:
             history, test_history = result
             trained = _flat_views(buffers[0].astype(np.float64), model.dims)
+            if test_metric_fn:
+                test_history.append(test_metric_fn(trained))
             return TrainResult(trained, [loss0, *history], test0 + test_history, lr,
                                {"rejected": failures})
         failures[lr] = failure

@@ -81,7 +81,10 @@ def fit_surrogate(
 
     The network has hidden layers of the widths in `hidden`. An optional
     `test` pair (xs, ys) adds the relative test error after every epoch to
-    the training result. Returns (surrogate, train_result_or_None).
+    the training result: from a float32 forward for the float32 weights of
+    the middle epochs, and through the prediction path of the returned
+    surrogate for the last one, so the last entry equals its test error.
+    Returns (surrogate, train_result_or_None).
     """
     codes_in = encode_batch(pca_in, xs)
     codes_out = encode_batch(pca_out, ys)
@@ -97,16 +100,25 @@ def fit_surrogate(
         return surrogate(fit_linear(z, zt)), None
     if regressor_kind != "nn":
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
-    from .regressors import init_mlp  # looked up per call: perfbench's tracer wraps it
+    # looked up per call: perfbench's tracer wraps them
+    from .regressors import init_mlp, mlp_forward
 
     cfg = train_cfg or TrainConfig()
     test_metric = None
     if test is not None:
         test_xs, test_ys = test
         test_codes = (encode_batch(pca_in, test_xs) - mean) / std
+        test_codes32 = test_codes.astype(np.float32)
 
         def test_metric(mlp):
-            preds = _predict_codes(surrogate(mlp), test_codes)
+            sur = surrogate(mlp)
+            if mlp.weights[0].dtype == np.float32:
+                # a float32 training iterate: a float32 forward, then the
+                # float64 destandardize and decode
+                latents = mlp_forward(mlp, test_codes32)
+                preds = decode_batch(pca_out, sur.destandardize_targets(latents))
+            else:
+                preds = _predict_codes(sur, test_codes)
             ratios, _ = relative_errors(preds, test_ys, pca_out.weights)
             return float(np.mean(ratios))
 

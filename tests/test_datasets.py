@@ -156,6 +156,18 @@ def test_read_rejects_rows_that_do_not_fit_resolution(tmp_path):
     assert str(path / "meta") in message and "81 points" in message and "289" in message
 
 
+def test_read_rejects_non_finite_rows(tmp_path):
+    path, _ = _poisson_on_disk(tmp_path)
+    x = np.fromfile(path / "x.f64", dtype="<f8").reshape(4, 81)
+    x[2, 40] = np.nan
+    x[3, 0] = np.inf
+    x.tofile(path / "x.f64")
+    with pytest.raises(FormatError) as exc:
+        read_dataset(str(path))
+    message = str(exc.value)
+    assert str(path / "x.f64") in message and "row 2 " in message
+
+
 def test_burgers_samples_do_not_depend_on_the_count():
     cfg = ProblemConfig(problem="burgers", resolution=256, count=256, seed=15)
     full = generate_dataset(cfg)

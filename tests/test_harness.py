@@ -17,7 +17,14 @@ from opsurrogate.cli import (
     build_parser,
     main,
 )
-from opsurrogate.datasets import FormatError, ProblemConfig, generate_dataset
+from opsurrogate.datasets import (
+    FormatError,
+    ProblemConfig,
+    generate_dataset,
+    read_meta,
+    write_dataset,
+    write_meta,
+)
 from opsurrogate.harness import (
     FitConfig,
     evaluate,
@@ -163,6 +170,27 @@ def test_load_rejects_wrong_format_version(tmp_path, poisson_train):
     (path / "meta").write_text(meta.replace("format_version = 1\n", "format_version = 2\n"))
     with pytest.raises(FormatError, match="format_version 2"):
         load_surrogate(str(path))
+
+
+@pytest.mark.parametrize("edit, wanted", [
+    (lambda meta: meta.pop("weighted"), "missing key 'weighted'"),
+    (lambda meta: meta.update(n_in="seventeen"), "cannot parse n_in = 'seventeen'"),
+], ids=["missing_key", "unparsable_int"])
+def test_eval_with_a_broken_model_meta_is_a_one_line_error(tmp_path, capsys, poisson_train,
+                                                           edit, wanted):
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=5, regressor="linear"))
+    model = tmp_path / "model"
+    save_surrogate(sur, str(model))
+    meta = read_meta(str(model / "meta"))
+    edit(meta)
+    write_meta(str(model / "meta"), meta)
+    write_dataset(poisson_train, str(tmp_path / "data"))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(model), "--dataset", str(tmp_path / "data")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("opsurrogate eval: error: ") and err.count("\n") == 1
+    assert str(model / "meta") in err and wanted in err
 
 
 def test_save_rejects_mixed_weighted_flags(tmp_path, poisson_train):
@@ -324,6 +352,32 @@ def test_cli_eval_on_another_grid_points_to_transfer(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "--transfer" in proc.stderr and "n=17" in proc.stderr and "n=9" in proc.stderr
+
+
+def test_cli_transfer_to_another_domain_is_usage_error(tmp_path):
+    out = str(tmp_path)
+    for problem, n in (("poisson", "17"), ("burgers", "16")):
+        assert main(["generate", "--problem", problem, "--resolution", n, "--count", "8",
+                     "--seed", "27", "--out", out, "--name", problem]) == 0
+    assert main(["fit", "--dataset", str(tmp_path / "poisson"), "--d", "4",
+                 "--regressor", "linear", "--out", out, "--name", "model"]) == 0
+    proc = run_cli(["transfer", "--model", str(tmp_path / "model"),
+                    "--dataset", str(tmp_path / "burgers")], cwd=out, check=False)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "box2d n=17" in proc.stderr and "torus1d n=16" in proc.stderr
+
+
+def test_train_surrogate_demo_runs():
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "train_surrogate.py")
+    proc = subprocess.run([sys.executable, demo], env=single_threaded_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    errors = dict(re.findall(r"^(linear|nn)\s*: relative test error (\S+)",
+                             proc.stdout, re.M))
+    assert sorted(errors) == ["linear", "nn"], proc.stdout
+    assert all(np.isfinite(float(e)) for e in errors.values()), proc.stdout
 
 
 def test_solver_validation_demo_runs():

@@ -150,41 +150,44 @@ def test_backprop_matches_finite_differences():
 
 
 def test_nesterov_hand_step():
-    # L = theta^2/2, one step from theta=1, v=0, m=0.99, eta=0.1
-    theta, vel = np.array([1.0]), np.array([0.0])
-    look = theta + 0.99 * vel
-    grad = look.copy()
-    nesterov_step(theta, vel, look, grad, 0.1, 0.99)
+    # L = phi^2/2, one step from phi=1, v=0, m=0.99, eta=0.1
+    phi, vel = np.array([1.0]), np.array([0.0])
+    grad = phi.copy()
+    nesterov_step(phi, vel, grad, 0.1, 0.99)
     assert vel[0] == pytest.approx(-0.1, rel=1e-14)
-    assert theta[0] == pytest.approx(0.9, rel=1e-14)
-    assert look[0] == pytest.approx(0.801, rel=1e-14)
+    # phi = theta + m v with theta = 0.9
+    assert phi[0] == pytest.approx(0.801, rel=1e-14)
+    # the gradient vector is left holding m v
+    assert grad[0] == pytest.approx(-0.099, rel=1e-14)
 
 
 def test_full_batch_step_decreases_quadratic():
-    # L(theta) = mean of (theta x - y)^2 over fixed data; stability at
+    # L(phi) = mean of (phi x - y)^2 over fixed data; stability at
     # eta < 1/L_smooth. momentum 0 reduces Nesterov to plain GD.
     rng = np.random.default_rng(7)
     x = rng.standard_normal(30)
     y = 2.0 * x
-    theta, vel = np.array([5.0]), np.array([0.0])
-    look = theta.copy()
-    grad = np.array([np.mean(2 * (look[0] * x - y) * x)])
+    phi, vel = np.array([5.0]), np.array([0.0])
+    grad = np.array([np.mean(2 * (phi[0] * x - y) * x)])
 
     smooth = 2 * np.mean(x ** 2)
     eta = 0.9 / smooth
-    loss0 = np.mean((theta[0] * x - y) ** 2)
-    nesterov_step(theta, vel, look, grad, eta, 0.0)
-    loss1 = np.mean((theta[0] * x - y) ** 2)
+    loss0 = np.mean((phi[0] * x - y) ** 2)
+    nesterov_step(phi, vel, grad, eta, 0.0)
+    loss1 = np.mean((phi[0] * x - y) ** 2)
     assert loss1 < loss0
-    assert np.array_equal(look, theta)
+    # with m = 0, phi = theta and the step is phi <- phi + v
+    assert phi[0] == 5.0 + vel[0]
 
 
-# The list-based lookahead Nesterov loop and allocating backprop that the
-# flat in-place training replaced, kept as the reference it must reproduce
-# bit for bit. Like train_mlp, it steps in float32 from float32 casts of the
-# initial weights and data, records the initial loss of the float64 model,
-# takes the blow-up threshold's loss and each epoch's loss as the float64
-# MSE of the float32 network, and returns the float64 upcast.
+# The list-based reparametrized Nesterov loop and allocating backprop that
+# the flat in-place training must reproduce bit for bit. Like train_mlp, it
+# steps in float32 from float32 casts of the initial weights and data,
+# records the initial loss and metric of the float64 model, takes the
+# blow-up threshold's loss once and each epoch's loss as the float64 MSE of
+# the float32 network, rejects an epoch before its metric is taken, gives
+# the metric the float32 network for every epoch but the last, and returns
+# the float64 upcast, on which the last metric is taken.
 
 def _reference_loss_and_grads(model, x, y):
     x = np.atleast_2d(x)
@@ -210,12 +213,10 @@ def _reference_loss_and_grads(model, x, y):
     return loss, gw, gb
 
 
-def _reference_nesterov_step(theta, velocity, grad_fn, lr, momentum):
-    lookahead = [t + momentum * v for t, v in zip(theta, velocity)]
-    grads = grad_fn(lookahead)
+def _reference_nesterov_step(phi, velocity, grads, lr, momentum):
     velocity = [momentum * v - lr * g for v, g in zip(velocity, grads)]
-    theta = [t + v for t, v in zip(theta, velocity)]
-    return theta, velocity
+    phi = [p - lr * g + momentum * v for p, g, v in zip(phi, grads, velocity)]
+    return phi, velocity
 
 
 def _cast(model, dtype):
@@ -224,7 +225,7 @@ def _cast(model, dtype):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn):
+def _reference_run_sgd(init, x, y, cfg, lr, blowup, test_metric_fn):
     model = _cast(init, np.float32)
     x32, y32 = x.astype(np.float32), y.astype(np.float32)
     lr, momentum = np.float32(lr), np.float32(cfg.momentum)
@@ -234,33 +235,33 @@ def _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn):
     params = model.weights + model.biases
     vel = [np.zeros_like(p) for p in params]
     nw = len(model.weights)
-    blowup = cfg.blowup_factor * max(mlp_loss(model, x32, y), 1e-30)
     history = [mlp_loss(init, x, y)]
     test_history = [test_metric_fn(init)]
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-
-            def grads(theta):
-                look = MlpModel(theta[:nw], theta[nw:])
-                _, gw, gb = _reference_loss_and_grads(look, x32[idx], y32[idx])
-                return gw + gb
-
-            params, vel = _reference_nesterov_step(params, vel, grads, lr, momentum)
+            _, gw, gb = _reference_loss_and_grads(
+                MlpModel(params[:nw], params[nw:]), x32[idx], y32[idx])
+            params, vel = _reference_nesterov_step(params, vel, gw + gb, lr, momentum)
         model = MlpModel(params[:nw], params[nw:])
         loss = mlp_loss(model, x32, y)
-        history.append(loss)
-        test_history.append(test_metric_fn(model))
         if not np.isfinite(loss) or loss > blowup:
             return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
-    return (_cast(model, np.float64), history, test_history), None
+        history.append(loss)
+        if epoch != cfg.epochs - 1:
+            test_history.append(test_metric_fn(model))
+    trained = _cast(model, np.float64)
+    test_history.append(test_metric_fn(trained))
+    return (trained, history, test_history), None
 
 
 def _reference_train(init, x, y, cfg, test_metric_fn):
+    x32 = x.astype(np.float32)
+    blowup = cfg.blowup_factor * max(mlp_loss(_cast(init, np.float32), x32, y), 1e-30)
     failures = {}
     for lr in cfg.learning_rates:
-        result, failure = _reference_run_sgd(init, x, y, cfg, lr, test_metric_fn)
+        result, failure = _reference_run_sgd(init, x, y, cfg, lr, blowup, test_metric_fn)
         if result is not None:
             return result, lr, {"rejected": failures}
         failures[lr] = failure
@@ -283,7 +284,8 @@ def test_training_is_bit_identical_to_list_based_reference(monkeypatch, block):
     saved = init.copy()
 
     def metric(model):
-        return mlp_loss(model, xt, yt)
+        # keeps the dtype of the weights: a float32 metric for a float32 model
+        return mlp_loss(model, xt.astype(model.weights[0].dtype), yt)
 
     result = train_mlp(init, x, y, cfg, metric)
     (model, history, test_history), lr, diagnostics = _reference_train(
@@ -291,15 +293,62 @@ def test_training_is_bit_identical_to_list_based_reference(monkeypatch, block):
     assert 50.0 in diagnostics["rejected"]
     assert result.diagnostics == diagnostics
     assert result.learning_rate == lr == 1e-2
-    assert result.train_loss == history
-    assert result.test_metric == test_history
+    assert _same_bits(np.array(result.train_loss), np.array(history))
+    assert _same_bits(np.array(result.test_metric), np.array(test_history))
     for got, want in zip(result.model.weights + result.model.biases,
                          model.weights + model.biases):
         assert got.dtype == want.dtype == np.float64
-        assert np.array_equal(got, want)
+        assert _same_bits(got, want)
     # the caller's initial model is left untouched
     for got, want in zip(init.weights + init.biases, saved.weights + saved.biases):
         assert np.array_equal(got, want)
+
+
+def _blowup_data():
+    rng = np.random.default_rng(11)
+    x = 10 * rng.standard_normal((64, 3))
+    y = 10 * rng.standard_normal((64, 3))
+    return x, y
+
+
+def test_rejected_epoch_takes_no_test_metric_and_the_last_gets_float64():
+    x, y = _blowup_data()
+    cfg = TrainConfig(epochs=5, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
+    dtypes = []
+
+    def metric(model):
+        dtypes.append(model.weights[0].dtype)
+        return 0.0
+
+    result = train_mlp(init_mlp([3, 16, 3], seed=5), x, y, cfg, metric)
+    assert result.learning_rate == 1e-4
+    # "epoch k: ..." -> epochs 0..k-1 of the rejected candidate passed
+    rejected_at = int(result.diagnostics["rejected"][1e6].split(":")[0].split()[1])
+    assert len(dtypes) == 1 + rejected_at + cfg.epochs
+    assert len(result.test_metric) == len(result.train_loss) == 1 + cfg.epochs
+    # the caller's model first, float32 training iterates, the float64 upcast last
+    assert dtypes[0] == dtypes[-1] == np.float64
+    assert all(d == np.float32 for d in dtypes[1:-1])
+
+
+def test_blowup_reference_is_computed_once_per_fit(monkeypatch):
+    x, y = _blowup_data()
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
+    init = init_mlp([3, 16, 3], seed=5)
+    start32 = _cast(init, np.float32)
+    reference_calls = []
+    loss = regressors.mlp_loss
+
+    def counting_loss(model, xs, ys):
+        if all(p.dtype == np.float32 and np.array_equal(p, q) for p, q in
+               zip(model.weights + model.biases, start32.weights + start32.biases)):
+            reference_calls.append(xs.dtype)
+        return loss(model, xs, ys)
+
+    monkeypatch.setattr(regressors, "mlp_loss", counting_loss)
+    result = train_mlp(init, x, y, cfg)
+    assert 1e6 in result.diagnostics["rejected"]
+    assert reference_calls == [np.float32]
 
 
 def test_gradients_into_out_equal_allocated_and_reference():
