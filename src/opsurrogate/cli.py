@@ -262,11 +262,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_transfer(args) -> int:
     from .datasets import read_dataset
-    from .harness import evaluate, load_surrogate, needs_transfer, transfer_surrogate
+    from .harness import check_same_domain, evaluate, load_surrogate, transfer_surrogate
 
     sur = load_surrogate(args.model)
     test = read_dataset(args.dataset)
-    needs_transfer(sur, test, allow_transfer=True)  # same domain, or a usage error
+    check_same_domain(sur, test)
     moved, gram_residual = transfer_surrogate(sur, test.resolution)
     error, online, skipped = evaluate(moved, test)
     row = {

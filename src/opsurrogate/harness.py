@@ -170,22 +170,29 @@ def transfer_surrogate(sur: Surrogate, target_n: int) -> tuple[Surrogate, float]
     return replace(sur, pca_in=pca_in, pca_out=pca_out), max(res_in, res_out)
 
 
+def _grids_described(sur: Surrogate, test_ds: Dataset) -> str:
+    return (f"surrogate grid {sur.pca_in.domain} n={sur.pca_in.n} does not match "
+            f"test grid {test_ds.config.domain} n={test_ds.resolution}")
+
+
+def check_same_domain(sur: Surrogate, test_ds: Dataset) -> None:
+    """Raise a `ShapeError` naming both grids if `test_ds` lies on another
+    domain than the surrogate's input grid: a transfer cannot bridge that."""
+    if sur.pca_in.domain != test_ds.config.domain:
+        raise ShapeError(f"{_grids_described(sur, test_ds)}; a transfer moves the "
+                         "bases to another resolution, not to another domain")
+
+
 def needs_transfer(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False) -> bool:
     """Whether `test_ds` lies on another resolution than the surrogate's
     input grid. A `ShapeError` naming both grids says when it lies on
     another domain, or on another resolution without `allow_transfer`."""
-    grid = (sur.pca_in.domain, sur.pca_in.n)
-    test_grid = (test_ds.config.domain, test_ds.resolution)
-    if grid == test_grid:
+    check_same_domain(sur, test_ds)
+    if sur.pca_in.n == test_ds.resolution:
         return False
-    described = (f"surrogate grid {grid[0]} n={grid[1]} does not match test "
-                 f"grid {test_grid[0]} n={test_grid[1]}")
-    if grid[0] != test_grid[0]:
-        raise ShapeError(f"{described}; a transfer moves the bases to another "
-                         "resolution, not to another domain")
     if not allow_transfer:
-        raise ShapeError(f"{described}; use --transfer (allow_transfer) to "
-                         "move the PCA bases to the test grid")
+        raise ShapeError(f"{_grids_described(sur, test_ds)}; use --transfer "
+                         "(allow_transfer) to move the PCA bases to the test grid")
     return True
 
 

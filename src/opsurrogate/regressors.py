@@ -218,6 +218,16 @@ def nesterov_step(phi, velocity, grad, lr, momentum):
         p += g
 
 
+def nesterov_theta(phi, velocity, momentum, out):
+    """Write theta = phi - m v, the iterate that the look-ahead point phi
+    of `nesterov_step` leads, into `out`, block by block."""
+    for start in range(0, phi.size, NESTEROV_BLOCK):
+        block = slice(start, start + NESTEROV_BLOCK)
+        o = out[block]
+        np.multiply(velocity[block], momentum, out=o)
+        np.subtract(phi[block], o, out=o)
+
+
 @dataclass
 class TrainResult:
     model: MlpModel
@@ -243,12 +253,14 @@ def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, blowup: float,
              test_metric_fn, buffers):
     """Train in float32 from the weights of `init` in the flat float32
     vectors `buffers` = (phi, velocity, gradient), on the data `x32`, `y32`.
-    Each epoch's loss is the float64 MSE of the network phi against `y`; an
-    epoch whose loss exceeds `blowup` or is not finite rejects the candidate
-    before `test_metric_fn` runs. The metric sees the float32 phi of every
-    epoch but the last, which the caller measures on the float64 upcast.
-    Returns ((history, test_history), None), with the trained weights left
-    in phi, or (None, blow-up diagnostic string)."""
+    After the last epoch's steps theta = phi - m v is written into the
+    gradient vector. Each epoch's loss is the float64 MSE against `y` of the
+    network phi, or of theta after the last epoch; an epoch whose loss
+    exceeds `blowup` or is not finite rejects the candidate before
+    `test_metric_fn` runs. The metric sees the float32 phi of every epoch
+    but the last, which the caller measures on the float64 upcast of theta.
+    Returns ((history, test_history), None), with the trained weights theta
+    left in the gradient vector, or (None, blow-up diagnostic string)."""
     flat_phi, vel, grad = buffers
     phi = _load_flat(flat_phi, init)
     grad_model = _flat_views(grad, init.dims)
@@ -264,11 +276,14 @@ def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, blowup: float,
             idx = perm[start:start + batch]
             mlp_loss_and_grads(phi, x32[idx], y32[idx], out=grad_model)
             nesterov_step(flat_phi, vel, grad, lr, momentum)
-        loss = mlp_loss(phi, x32, y)
+        last = epoch == cfg.epochs - 1
+        if last:
+            nesterov_theta(flat_phi, vel, momentum, out=grad)
+        loss = mlp_loss(grad_model if last else phi, x32, y)
         if not np.isfinite(loss) or loss > blowup:
             return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
         history.append(loss)
-        if test_metric_fn and epoch != cfg.epochs - 1:
+        if test_metric_fn and not last:
             test_history.append(test_metric_fn(phi))
     return (history, test_history), None
 
@@ -290,11 +305,12 @@ def train_mlp(
     blowup_factor times the loss of that cast, computed once per fit, or
     turns non-finite. The first entries of the histories are the loss and
     metric of `model` itself in float64; each later loss is the float64 MSE
-    of the float32 network phi. `test_metric_fn` gets the float32 phi after
-    each epoch but the last, and the returned float64 model after the last;
-    an epoch that rejects its candidate gets no metric.
+    of the float32 network phi, and the last one that of the float32
+    network theta = phi - m v that phi leads. `test_metric_fn` gets the
+    float32 phi after each epoch but the last, and the returned float64
+    model after the last; an epoch that rejects its candidate gets no metric.
     `model` is left unchanged; the trained weights are the exact float64
-    upcast of the final phi, views into one flat parameter vector.
+    upcast of the final theta, views into one flat parameter vector.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -302,7 +318,7 @@ def train_mlp(
     loss0 = mlp_loss(model, x, y)
     test0 = [test_metric_fn(model)] if test_metric_fn else []
     size = sum(W.size + b.size for W, b in zip(model.weights, model.biases))
-    # phi, velocity, gradient
+    # phi, velocity, gradient; a kept candidate leaves theta in the gradient
     buffers = [np.empty(size, dtype=np.float32) for _ in range(3)]
     blowup = cfg.blowup_factor * max(mlp_loss(_load_flat(buffers[0], model), x32, y), 1e-30)
     failures = {}
@@ -311,7 +327,7 @@ def train_mlp(
                                    buffers)
         if result is not None:
             history, test_history = result
-            trained = _flat_views(buffers[0].astype(np.float64), model.dims)
+            trained = _flat_views(buffers[2].astype(np.float64), model.dims)
             if test_metric_fn:
                 test_history.append(test_metric_fn(trained))
             return TrainResult(trained, [loss0, *history], test0 + test_history, lr,

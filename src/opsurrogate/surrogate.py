@@ -82,7 +82,7 @@ def fit_surrogate(
     The network has hidden layers of the widths in `hidden`. An optional
     `test` pair (xs, ys) adds the relative test error after every epoch to
     the training result: from a float32 forward for the float32 weights of
-    the middle epochs, and through the prediction path of the returned
+    the middle epochs, and from the float64 forward of the returned
     surrogate for the last one, so the last entry equals its test error.
     Returns (surrogate, train_result_or_None).
     """
@@ -111,15 +111,12 @@ def fit_surrogate(
         test_codes32 = test_codes.astype(np.float32)
 
         def test_metric(mlp):
-            sur = surrogate(mlp)
-            if mlp.weights[0].dtype == np.float32:
-                # a float32 training iterate: a float32 forward, then the
-                # float64 destandardize and decode
-                latents = mlp_forward(mlp, test_codes32)
-                preds = decode_batch(pca_out, sur.destandardize_targets(latents))
-            else:
-                preds = _predict_codes(sur, test_codes)
-            ratios, _ = relative_errors(preds, test_ys, pca_out.weights)
+            # a float32 training iterate gets a float32 forward; the
+            # destandardize and decode are float64 either way
+            codes = test_codes32 if mlp.weights[0].dtype == np.float32 else test_codes
+            latents = surrogate(mlp).destandardize_targets(mlp_forward(mlp, codes))
+            ratios, _ = relative_errors(decode_batch(pca_out, latents), test_ys,
+                                        pca_out.weights)
             return float(np.mean(ratios))
 
     init = init_mlp([pca_in.d, *hidden, pca_out.d], cfg.seed)

@@ -18,6 +18,7 @@ from opsurrogate.regressors import (
     mlp_loss,
     mlp_loss_and_grads,
     nesterov_step,
+    nesterov_theta,
     predict,
     selu,
     selu_prime,
@@ -159,6 +160,10 @@ def test_nesterov_hand_step():
     assert phi[0] == pytest.approx(0.801, rel=1e-14)
     # the gradient vector is left holding m v
     assert grad[0] == pytest.approx(-0.099, rel=1e-14)
+    # phi leads theta = phi - m v = 0.9
+    theta = np.empty(1)
+    nesterov_theta(phi, vel, 0.99, out=theta)
+    assert theta[0] == pytest.approx(0.9, rel=1e-14)
 
 
 def test_full_batch_step_decreases_quadratic():
@@ -186,8 +191,9 @@ def test_full_batch_step_decreases_quadratic():
 # records the initial loss and metric of the float64 model, takes the
 # blow-up threshold's loss once and each epoch's loss as the float64 MSE of
 # the float32 network, rejects an epoch before its metric is taken, gives
-# the metric the float32 network for every epoch but the last, and returns
-# the float64 upcast, on which the last metric is taken.
+# the metric the float32 look-ahead network for every epoch but the last,
+# takes the last epoch's loss on theta = phi - m v, and returns the float64
+# upcast of theta, on which the last metric is taken.
 
 def _reference_loss_and_grads(model, x, y):
     x = np.atleast_2d(x)
@@ -244,12 +250,16 @@ def _reference_run_sgd(init, x, y, cfg, lr, blowup, test_metric_fn):
             _, gw, gb = _reference_loss_and_grads(
                 MlpModel(params[:nw], params[nw:]), x32[idx], y32[idx])
             params, vel = _reference_nesterov_step(params, vel, gw + gb, lr, momentum)
+        last = epoch == cfg.epochs - 1
+        if last:
+            # the saved network is theta = phi - m v, not the look-ahead phi
+            params = [p - momentum * v for p, v in zip(params, vel)]
         model = MlpModel(params[:nw], params[nw:])
         loss = mlp_loss(model, x32, y)
         if not np.isfinite(loss) or loss > blowup:
             return None, f"epoch {epoch}: loss {loss:.3e} exceeded {blowup:.3e}"
         history.append(loss)
-        if epoch != cfg.epochs - 1:
+        if not last:
             test_history.append(test_metric_fn(model))
     trained = _cast(model, np.float64)
     test_history.append(test_metric_fn(trained))
