@@ -5,7 +5,7 @@ Run: python demos/random_fields_demo.py
 import numpy as np
 
 from opsurrogate import (
-    mu_b_spec, mu_g_spec, mu_l_spec, mu_p_spec,
+    BOX2D, mu_b_spec, mu_g_spec, mu_l_spec, mu_p_spec,
     norm, sample_field, subsample,
 )
 from opsurrogate.random_fields import box_mode_stddevs, torus_mode_stddevs
@@ -26,12 +26,12 @@ spec = mu_g_spec(cutoff=8)
 fine = sample_field(spec, 33, seed=7)
 coarse = sample_field(spec, 17, seed=7)
 print("\nfine->subsample == coarse:",
-      np.array_equal(subsample(fine, 2).values, coarse.values))
+      np.array_equal(subsample(BOX2D, 33, fine.values[None, :], 17)[0], coarse.values))
 
 # Parseval check for mu_B over a quick Monte Carlo run
 specb = mu_b_spec(cutoff=127)
-sig = torus_mode_stddevs(specb)
-analytic = sig[0] ** 2 + 2 * np.sum(sig[1:] ** 2)
+sig = torus_mode_stddevs(specb)  # one entry per cosine and per sine mode
+analytic = np.sum(sig ** 2)
 sq = [norm(sample_field(specb, n_torus, seed=s)) ** 2 for s in range(500)]
 print(f"mu_B E||u||^2: empirical {np.mean(sq):.4f} vs analytic {analytic:.4f}")
 

@@ -25,9 +25,9 @@ _EXPORTS = {
     ),
     "pca": (
         "PcaModel",
-        "decode",
+        "decode_batch",
         "empirical_projection_error",
-        "encode",
+        "encode_batch",
         "fit_pca",
         "transfer_basis",
     ),
@@ -63,7 +63,6 @@ _EXPORTS = {
     "surrogate": (
         "Surrogate",
         "predict_function",
-        "psi_pca_error",
         "relative_test_error",
         "taylor_truncation_poisson",
     ),

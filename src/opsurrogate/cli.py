@@ -103,6 +103,11 @@ _positive_float = _checked(float, lambda v: 0.0 < v < float("inf"),
                            "a finite positive number")
 
 
+_regressor_list = _checked(lambda text: tuple(text.split(",")),
+                           lambda v: set(v) <= {"nn", "linear"},
+                           "a comma-separated list of nn and linear")
+
+
 def _positive_ints(text: str) -> tuple:
     try:
         return tuple(_positive_int(v) for v in text.split(","))
@@ -237,15 +242,14 @@ def cmd_sweep(args) -> int:
     base = _problem_config(args)
     fit_cfg = _fit_config(args)
     values = list(args.values)
-    regressors = tuple(args.regressors.split(","))
     rows = run_sweep(base, fit_cfg, args.axis, values, args.n_test,
-                     args.test_seed, regressors=regressors)
+                     args.test_seed, regressors=args.regressors)
     root = _out_root(args)
     csv_path = os.path.join(root, f"{args.name}.csv")
     write_csv(csv_path, rows, SWEEP_COLUMNS)
     axis_key = {"resolution": "resolution", "dimension": "d", "samples": "N"}[args.axis]
     series = {}
-    for reg in regressors:
+    for reg in args.regressors:
         pts = [(r[axis_key], r["relative_error"]) for r in rows
                if r["regressor"] == reg and r["status"] == "ok"]
         if pts:
@@ -282,24 +286,21 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_baseline_rb(args) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from .datasets import generate_dataset
-    from .grid import GridFunction, quadrature_weights
+    from .grid import quadrature_weights
     from .pca import fit_pca
     from .surrogate import RbSolver, relative_errors
 
     base = _problem_config(args)
-    from dataclasses import replace
-
     train = generate_dataset(base)
     test = generate_dataset(replace(base, count=args.n_test, seed=args.test_seed))
     pca_out = fit_pca(train.ys, train.config.domain, train.resolution, args.d)
-    rb = RbSolver(pca_out)
     n = base.resolution
-    ones = GridFunction("box2d", n, np.ones(n * n))
-    preds = np.stack([rb.solve(GridFunction("box2d", n, a), ones).values
-                      for a in test.xs])
+    preds = RbSolver(pca_out).solve(test.xs, np.ones(n * n))
     ratios, _ = relative_errors(preds, test.ys, quadrature_weights("box2d", n))
     row = {"method": "rb", "problem": base.problem, "d": args.d,
            "relative_error": repr(float(np.mean(ratios)))}
@@ -428,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated axis values")
     p.add_argument("--n-test", type=_positive_int, default=100)
     p.add_argument("--test-seed", type=_non_negative_int, default=777)
-    p.add_argument("--regressors", default="nn,linear")
+    p.add_argument("--regressors", type=_regressor_list, default="nn,linear",
+                   help="comma-separated regressors to fit per cell: nn, linear")
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import BOX2D, TORUS1D, GridFunction, nested_stride, subsample_rows
+from .grid import BOX2D, TORUS1D, GridFunction, subsample
 from .random_fields import (
     MeasureSpec,
     coeff_model_basis,
@@ -153,10 +153,9 @@ def subsample_dataset(ds: Dataset, target_n: int) -> Dataset:
     domain = ds.config.domain
     if target_n == n:
         return ds
-    stride = nested_stride(domain, n, target_n)
     cfg = replace(ds.config, resolution=target_n, cutoff=ds.config.cutoff)
-    return Dataset(cfg, subsample_rows(domain, n, ds.xs, stride),
-                   subsample_rows(domain, n, ds.ys, stride), xis=ds.xis)
+    return Dataset(cfg, subsample(domain, n, ds.xs, target_n),
+                   subsample(domain, n, ds.ys, target_n), xis=ds.xis)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +216,18 @@ def parse_choice(*choices):
 
 
 def read_bundle_meta(directory: str, version: int) -> dict:
+    """The `meta` of a dataset or model directory, or a `FormatError` that
+    names the path and says why it cannot be read."""
     path = os.path.join(directory, "meta")
-    meta = read_meta(path)
+    if not os.path.exists(directory):
+        raise FormatError(f"{directory}: no such directory")
+    try:
+        meta = read_meta(path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise FormatError(f"{directory}: not a dataset or model directory "
+                          "(no meta file)") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: meta does not decode as ASCII text") from None
     if meta_field(meta, "format_version", int, path) != version:
         raise FormatError(
             f"{path}: unsupported format_version {meta['format_version']} "
@@ -231,7 +240,10 @@ def read_tensor(directory: str, name: str, shape) -> np.ndarray:
     """The tensor `<name>.f64` of a bundle, which must hold exactly `shape`."""
     path = os.path.join(directory, f"{name}.f64")
     expected = 8 * math.prod(shape)
-    actual = os.path.getsize(path)
+    try:
+        actual = os.path.getsize(path)
+    except FileNotFoundError:
+        raise FormatError(f"{path}: missing tensor {name!r}") from None
     if actual != expected:
         raise FormatError(
             f"{path}: expected {expected} bytes for shape {shape}, found {actual}"

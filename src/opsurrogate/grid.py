@@ -53,10 +53,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def num_points(self) -> int:
-        return self.values.size
-
     def as_2d(self) -> np.ndarray:
         if self.domain != BOX2D:
             raise ShapeError("as_2d only applies to box2d functions")
@@ -114,59 +110,44 @@ def norm(u: GridFunction) -> float:
     return math.sqrt(inner_product(u, u))
 
 
-def _intervals(domain: str, n: int) -> int:
-    """Grid intervals per axis: n - 1 on box2d (both ends are nodes), n on
-    the torus."""
-    return n - 1 if domain == BOX2D else n
-
-
 def nested_stride(domain: str, n: int, target_n: int) -> int:
     """Stride that takes an n-point grid onto the coarser target_n-point
-    grid nested in it."""
-    fine, coarse = _intervals(domain, n), _intervals(domain, target_n)
+    grid nested in it. Grids nest by their intervals per axis: n - 1 on
+    box2d (both ends are nodes), n on the torus."""
+    fine, coarse = (n - 1, target_n - 1) if domain == BOX2D else (n, target_n)
     if coarse < 1 or fine % coarse != 0:
         raise ShapeError(f"coarse target {target_n} does not nest in {n}")
     return fine // coarse
 
 
-def subsample_rows(domain: str, n: int, rows: np.ndarray, stride: int) -> np.ndarray:
-    """Keep every stride-th node of each row of a (count, points) array;
-    boundaries retained on box2d."""
+def subsample(domain: str, n: int, rows: np.ndarray, target_n: int) -> np.ndarray:
+    """Rows of a (count, points) array of n-grid values, taken onto the
+    coarser target_n grid nested in it: every stride-th node, boundaries
+    retained on box2d."""
+    stride = nested_stride(domain, n, target_n)
     if domain == BOX2D:
-        return rows.reshape(-1, n, n)[:, ::stride, ::stride].reshape(rows.shape[0], -1)
+        kept = rows.reshape(-1, n, n)[:, ::stride, ::stride]
+        return kept.reshape(len(rows), target_n ** 2)
     return rows[:, ::stride].copy()
 
 
-def subsample(u: GridFunction, stride: int) -> GridFunction:
-    """Keep every stride-th node; boundaries retained on box2d."""
-    if stride < 1:
-        raise ShapeError("stride must be positive")
-    fine = _intervals(u.domain, u.n)
-    if fine % stride != 0:
-        raise ShapeError(f"{fine} grid intervals not divisible by stride {stride}")
-    m = fine // stride + (1 if u.domain == BOX2D else 0)
-    vals = subsample_rows(u.domain, u.n, u.values[None], stride)[0]
-    return GridFunction(u.domain, m, vals)
-
-
-def interpolate(u: GridFunction, target_n: int) -> GridFunction:
-    """Cubic-spline resampling onto a target grid of the same domain.
+def interpolate(domain: str, n: int, rows: np.ndarray, target_n: int) -> np.ndarray:
+    """Cubic-spline resampling of the rows of a (count, points) array of
+    n-grid values onto the target_n grid of the same domain.
 
     Natural splines on box2d (tensor product, one axis at a time), periodic
     splines on the torus. Exact at shared nodes.
     """
     if target_n < 2:
         raise ShapeError("target_n must be >= 2")
-    if target_n == u.n:
-        return u
-    if u.domain == TORUS1D:
-        s = np.append(grid_coords(TORUS1D, u.n), 1.0)
-        vals = np.append(u.values, u.values[0])
-        spline = CubicSpline(s, vals, bc_type="periodic")
-        return GridFunction(TORUS1D, target_n, spline(grid_coords(TORUS1D, target_n)))
-    s_src = np.linspace(0.0, 1.0, u.n)
-    s_tgt = np.linspace(0.0, 1.0, target_n)
+    if target_n == n:
+        return rows
+    s_src, s_tgt = grid_coords(domain, n), grid_coords(domain, target_n)
+    if domain == TORUS1D:
+        closed = np.concatenate([rows, rows[:, :1]], axis=1)
+        spline = CubicSpline(np.append(s_src, 1.0), closed, axis=1, bc_type="periodic")
+        return np.ascontiguousarray(spline(s_tgt))  # the spline gives a transposed view
     # interpolate along s1 (columns) then s2 (rows)
-    half = CubicSpline(s_src, u.as_2d(), axis=1, bc_type="natural")(s_tgt)
-    full = CubicSpline(s_src, half, axis=0, bc_type="natural")(s_tgt)
-    return GridFunction(BOX2D, target_n, full)
+    half = CubicSpline(s_src, rows.reshape(-1, n, n), axis=2, bc_type="natural")(s_tgt)
+    full = CubicSpline(s_src, half, axis=1, bc_type="natural")(s_tgt)
+    return full.reshape(len(rows), target_n ** 2)

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .grid import (
-    GridFunction,
-    ShapeError,
-    interpolate,
-    nested_stride,
-    quadrature_weights,
-    subsample,
-)
+from .grid import ShapeError, interpolate, quadrature_weights, subsample
 
 
 class RankDeficiencyError(RuntimeError):
@@ -113,24 +106,11 @@ def fit_pca(
     return PcaModel(domain, n, d, basis, evals, weighted=weighted)
 
 
-def encode(model: PcaModel, u: GridFunction) -> np.ndarray:
-    if u.domain != model.domain or u.n != model.n:
-        raise ShapeError("function does not live on the model's grid")
-    return encode_batch(model, u.values[None, :])[0]
-
-
 def encode_batch(model: PcaModel, values: np.ndarray) -> np.ndarray:
     """Encode rows of a (count, num_points) array to (count, d) latent codes."""
     if values.shape[1] != model.basis.shape[1]:
         raise ShapeError("value rows do not match the model's grid size")
     return values @ (model.basis * model.weights).T
-
-
-def decode(model: PcaModel, s: np.ndarray) -> GridFunction:
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (model.d,):
-        raise ShapeError(f"latent vector must have shape ({model.d},)")
-    return GridFunction(model.domain, model.n, decode_batch(model, s[None, :])[0])
 
 
 def decode_batch(model: PcaModel, codes: np.ndarray) -> np.ndarray:
@@ -159,19 +139,10 @@ def transfer_basis(model: PcaModel, target_n: int) -> tuple[PcaModel, float]:
     """
     if target_n == model.n:
         return model, model.gram_residual()
-    if target_n > model.n:
-        moved = [
-            interpolate(GridFunction(model.domain, model.n, row), target_n).values
-            for row in model.basis
-        ]
-    else:
-        stride = nested_stride(model.domain, model.n, target_n)
-        moved = [
-            subsample(GridFunction(model.domain, model.n, row), stride).values
-            for row in model.basis
-        ]
+    move = interpolate if target_n > model.n else subsample
+    moved = move(model.domain, model.n, model.basis, target_n)
     out = PcaModel(
-        model.domain, target_n, model.d, np.stack(moved), model.eigenvalues,
+        model.domain, target_n, model.d, moved, model.eigenvalues,
         weighted=model.weighted,
     )
     return out, out.gram_residual()

@@ -157,16 +157,6 @@ def sample_gaussian_box(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
     return GridFunction(BOX2D, n, (B @ (sigma * xi).T @ B.T).reshape(-1))
 
 
-def sample_mu_l(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
-    g = sample_gaussian_box(spec, n, seed)
-    return GridFunction(BOX2D, n, np.exp(g.values))
-
-
-def sample_mu_p(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
-    g = sample_gaussian_box(spec, n, seed)
-    return GridFunction(BOX2D, n, threshold_map(g.values, spec.high, spec.low))
-
-
 @lru_cache(maxsize=32)
 def _torus_basis(n: int, cutoff: int) -> np.ndarray:
     """Rows: 1, sqrt(2)cos(2pi k s), sqrt(2)sin(2pi k s) for k = 1..cutoff."""
@@ -242,12 +232,11 @@ def coeff_model_sup_norms(spec: MeasureSpec, count: int) -> np.ndarray:
 # unified entry point used by the dataset generator
 
 def sample_field(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
-    if spec.kind == MU_G:
-        return sample_gaussian_box(spec, n, seed)
-    if spec.kind == MU_L:
-        return sample_mu_l(spec, n, seed)
-    if spec.kind == MU_P:
-        return sample_mu_p(spec, n, seed)
     if spec.kind == MU_B:
         return sample_mu_b(spec, n, seed)
-    raise ConfigError(f"sample_field does not handle kind {spec.kind!r}")
+    g = sample_gaussian_box(spec, n, seed)  # ConfigError outside the mu_G family
+    if spec.kind == MU_L:
+        return GridFunction(BOX2D, n, np.exp(g.values))
+    if spec.kind == MU_P:
+        return GridFunction(BOX2D, n, threshold_map(g.values, spec.high, spec.low))
+    return g

@@ -72,9 +72,6 @@ class MlpModel:
     def dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel([W.copy() for W in self.weights], [b.copy() for b in self.biases])
-
 
 def _flat_views(flat: np.ndarray, dims) -> MlpModel:
     """An MlpModel whose weights and biases are views into the vector `flat`,

@@ -1,9 +1,9 @@
 """Composed function-space surrogates and the intrusive baselines.
 
 A Surrogate maps input grid function -> PCA encode -> standardize ->
-regressor -> PCA decode -> output grid function. The regressor-free PCA
-ceiling, a reduced-basis Galerkin baseline, and the truncated-Taylor
-baseline for the linear Poisson model live here too.
+regressor -> PCA decode -> output grid function. A reduced-basis Galerkin
+baseline and the truncated-Taylor baseline for the linear Poisson model
+live here too.
 """
 
 from __future__ import annotations
@@ -166,55 +166,14 @@ def relative_test_error(sur: Surrogate, xs: np.ndarray, ys: np.ndarray):
     return float(np.mean(ratios)), skipped
 
 
-def psi_pca_error(
-    pca_in: PcaModel,
-    pca_out: PcaModel,
-    forward,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    clamp_min: float | None = None,
-) -> float:
-    """Relative error of the regressor-free composition
-    decode_out . encode_out . forward . decode_in . encode_in.
-
-    This is the PCA ceiling used to split error into reconstruction and
-    regression parts; `forward` maps a GridFunction to a GridFunction.
-    clamp_min floors reconstructed inputs (needed when the forward map
-    requires positivity and the projection oscillates below it).
-    """
-    recon_in = decode_batch(pca_in, encode_batch(pca_in, xs))
-    clamped = 0
-    if clamp_min is not None:
-        below = recon_in < clamp_min
-        clamped = int(np.sum(np.any(below, axis=1)))
-        recon_in = np.maximum(recon_in, clamp_min)
-    if clamped:
-        warnings.warn(
-            f"floored {clamped} reconstructed inputs at {clamp_min}", RuntimeWarning
-        )
-    preds = np.empty_like(ys)
-    for i, row in enumerate(recon_in):
-        y_star = forward(GridFunction(pca_in.domain, pca_in.n, row))
-        preds[i] = decode_batch(
-            pca_out, encode_batch(pca_out, y_star.values[None, :])
-        )[0]
-    ratios, _ = relative_errors(preds, ys, pca_out.weights)
-    return float(np.mean(ratios))
-
-
 # ---------------------------------------------------------------------------
 # reduced basis baseline
 
 def _basis_gradients(pca_out: PcaModel):
     n = pca_out.n
-    h = 1.0 / (n - 1)
-    gx = np.empty_like(pca_out.basis)
-    gy = np.empty_like(pca_out.basis)
-    for j, row in enumerate(pca_out.basis):
-        grid = row.reshape(n, n)
-        gy[j] = np.gradient(grid, h, axis=0).reshape(-1)
-        gx[j] = np.gradient(grid, h, axis=1).reshape(-1)
-    return gx, gy
+    grids = pca_out.basis.reshape(pca_out.d, n, n)
+    gy, gx = np.gradient(grids, 1.0 / (n - 1), axis=(1, 2))
+    return gx.reshape(pca_out.d, -1), gy.reshape(pca_out.d, -1)
 
 
 @dataclass
@@ -232,42 +191,33 @@ class RbSolver:
         if self.gx is None:
             self.gx, self.gy = _basis_gradients(self.pca_out)
 
-    def solve(self, a: GridFunction, f: GridFunction) -> GridFunction:
-        if np.min(a.values) <= 0.0:
-            raise NumericalError("coefficient must be positive for the weak form")
+    def solve(self, a_rows: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Solution rows (N, P) for the coefficient rows a_rows (N, P) and
+        one forcing row f (P,), each row solved on its own."""
+        basis = self.pca_out.basis
         w = quadrature_weights(self.pca_out.domain, self.pca_out.n)
-        wa = w * a.values
-        A = self.gx @ (wa * self.gx).T + self.gy @ (wa * self.gy).T
-        b = (self.pca_out.basis * w) @ f.values
-        try:
-            coeffs = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular reduced stiffness matrix: {exc}") from exc
-        return GridFunction(
-            self.pca_out.domain, self.pca_out.n, coeffs @ self.pca_out.basis
-        )
+        if a_rows.ndim != 2 or a_rows.shape[1] != w.size or f.shape != (w.size,):
+            raise ShapeError(f"coefficient rows and forcing must hold {w.size} points")
+        if np.any(a_rows <= 0.0):
+            raise NumericalError("coefficient must be positive for the weak form")
+        b = (basis * w) @ f
+        out = np.empty(a_rows.shape)
+        for i, a in enumerate(a_rows):
+            wa = w * a
+            A = self.gx @ (wa * self.gx).T + self.gy @ (wa * self.gy).T
+            try:
+                coeffs = np.linalg.solve(A, b)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular reduced stiffness matrix: {exc}") from exc
+            out[i] = coeffs @ basis
+        return out
 
 
 # ---------------------------------------------------------------------------
 # truncated Taylor baseline for the linear Poisson coefficient model
 
-@dataclass
-class TaylorPredictor:
-    """Maps coefficient vectors to sum_{j<=K} xi_j eta_j with precomputed
-    eta_j = poisson_solve(phi_j); K PDE solves offline, none online."""
-
-    K: int
-    n: int
-    etas: np.ndarray = field(repr=False)
-
-    def predict(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-        m = min(xi.shape[1], self.K)
-        return xi[:, :m] @ self.etas[:m]
-
-
-def taylor_truncation_poisson(spec: MeasureSpec, K: int, n: int) -> TaylorPredictor:
-    """eta_j = Poisson solve of the j-th basis function, all K against one
-    factorisation."""
+def taylor_truncation_poisson(spec: MeasureSpec, K: int, n: int) -> np.ndarray:
+    """Rows eta_j (K, n*n): the Poisson solves of the basis functions phi_j, all
+    against one factorisation. xi[:, :K] @ etas[:K] predicts with no solve."""
     ones = GridFunction("box2d", n, np.ones(n * n))
-    return TaylorPredictor(K, n, darcy_solver(ones)(coeff_model_basis(spec, K, n)))
+    return darcy_solver(ones)(coeff_model_basis(spec, K, n))

@@ -9,12 +9,13 @@ computed statistics and the stated tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, norm
-from .pca import PcaModel, decode, encode, fit_pca
+from .grid import norm, quadrature_weights
+from .pca import PcaModel, decode_batch, encode_batch, fit_pca
 from .random_fields import (
     MU_B,
     ConfigError,
@@ -142,11 +143,9 @@ def check_chebyshev_coverage(
     model = fit_pca(np.stack([u.values for u in train]), train[0].domain, n, d)
     second_moment = float(np.mean([norm(u) ** 2 for u in train]))
     M = np.sqrt(second_moment / delta)
-    inside = 0
-    for i in range(N_test):
-        x = sample_field(spec, n, derive_seed(seed + 1, i))
-        if np.max(np.abs(encode(model, x))) <= M:
-            inside += 1
+    test = np.stack([sample_field(spec, n, derive_seed(seed + 1, i)).values
+                     for i in range(N_test)])
+    inside = int(np.sum(np.max(np.abs(encode_batch(model, test)), axis=1) <= M))
     coverage = inside / N_test
     se = np.sqrt(delta * (1.0 - delta) / N_test)
     bound = 1.0 - delta - 3.0 * se
@@ -166,19 +165,22 @@ def check_encoder_lipschitz(
     """Encoder is 1-Lipschitz; decoder is an isometry onto the span."""
     rng = np.random.default_rng(seed)
     npts = pca.basis.shape[1]
+    w = quadrature_weights(pca.domain, pca.n)
+
+    def l2(u):  # grid.norm on a bare row
+        return math.sqrt(float(np.dot(w * u, u)))
+
     worst_encoder = 0.0
     worst_decoder = 0.0
     for _ in range(trials):
-        v = GridFunction(pca.domain, pca.n, rng.standard_normal(npts))
-        z = GridFunction(pca.domain, pca.n, rng.standard_normal(npts))
-        diff = GridFunction(pca.domain, pca.n, v.values - z.values)
-        denom = norm(diff)
-        enc_ratio = float(np.linalg.norm(encode(pca, v) - encode(pca, z))) / denom
-        worst_encoder = max(worst_encoder, enc_ratio)
+        v = rng.standard_normal(npts)
+        z = rng.standard_normal(npts)
+        enc = encode_batch(pca, v[None, :]) - encode_batch(pca, z[None, :])
+        worst_encoder = max(worst_encoder, float(np.linalg.norm(enc)) / l2(v - z))
         s = rng.standard_normal(pca.d)
         t = rng.standard_normal(pca.d)
-        dec = GridFunction(pca.domain, pca.n, decode(pca, s).values - decode(pca, t).values)
-        dec_ratio = norm(dec) / float(np.linalg.norm(s - t))
+        dec = decode_batch(pca, s[None, :]) - decode_batch(pca, t[None, :])
+        dec_ratio = l2(dec[0]) / float(np.linalg.norm(s - t))
         worst_decoder = max(worst_decoder, abs(dec_ratio - 1.0))
     passed = worst_encoder <= 1.0 + tol and worst_decoder <= tol
     return TheoryReport(

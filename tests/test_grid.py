@@ -73,67 +73,70 @@ def test_gridfunction_rejects_bad_values():
 
 
 def test_subsample_1d_pattern():
-    u = GridFunction(TORUS1D, 5, np.array([0.0, 1, 2, 3, 4]))
-    # torus: n divisible by stride, so test the box pattern instead
-    ub = GridFunction(BOX2D, 5, np.arange(25.0))
-    # keep rows/cols 0,2,4
-    v = subsample(ub, 2)
-    assert v.n == 3
-    assert np.array_equal(v.values.reshape(3, 3)[:, 0], [0.0, 10.0, 20.0])
+    # keep rows/cols 0,2,4 of a 5x5 box grid
+    v = subsample(BOX2D, 5, np.arange(25.0)[None, :], 3)
+    assert v.shape == (1, 9)
+    assert np.array_equal(v.reshape(3, 3)[:, 0], [0.0, 10.0, 20.0])
 
 
 def test_subsample_resolutions():
-    u = GridFunction(BOX2D, 421, np.zeros(421 * 421))
-    assert subsample(u, 2).n == 211
-    ut = GridFunction(TORUS1D, 4096, np.arange(4096.0))
-    v = subsample(ut, 4)
-    assert v.n == 1024
-    assert np.array_equal(v.values, np.arange(4096.0)[::4])
+    assert subsample(BOX2D, 421, np.zeros((1, 421 * 421)), 211).shape == (1, 211 * 211)
+    v = subsample(TORUS1D, 4096, np.arange(4096.0)[None, :], 1024)
+    assert np.array_equal(v[0], np.arange(4096.0)[::4])
 
 
 def test_subsample_divisibility_errors():
-    u = GridFunction(BOX2D, 6, np.zeros(36))
     with pytest.raises(ShapeError):
-        subsample(u, 2)
-    ut = GridFunction(TORUS1D, 10, np.zeros(10))
+        subsample(BOX2D, 6, np.zeros((1, 36)), 3)
     with pytest.raises(ShapeError):
-        subsample(ut, 3)
+        subsample(TORUS1D, 10, np.zeros((1, 10)), 4)
 
 
 def test_interpolate_reproduces_constants_and_linears():
-    c = GridFunction(BOX2D, 9, np.full(81, 3.25))
-    v = interpolate(c, 33)
-    assert np.max(np.abs(v.values - 3.25)) == 0.0
+    v = interpolate(BOX2D, 9, np.full((1, 81), 3.25), 33)
+    assert np.max(np.abs(v - 3.25)) == 0.0
 
     ramp = from_callable(BOX2D, 9, lambda s1, s2: s1)
-    fine = interpolate(ramp, 17)
+    fine = interpolate(BOX2D, 9, ramp.values[None, :], 17)
     exact = from_callable(BOX2D, 17, lambda s1, s2: s1)
-    assert np.max(np.abs(fine.values - exact.values)) < 1e-12
+    assert np.max(np.abs(fine[0] - exact.values)) < 1e-12
 
 
 def test_interpolate_sine_accuracy():
     u = from_callable(BOX2D, 33, lambda s1, s2: np.sin(np.pi * s1) * np.sin(np.pi * s2))
-    fine = interpolate(u, 65)
+    fine = interpolate(BOX2D, 33, u.values[None, :], 65)
     exact = from_callable(BOX2D, 65, lambda s1, s2: np.sin(np.pi * s1) * np.sin(np.pi * s2))
-    assert np.max(np.abs(fine.values - exact.values)) < 1e-4
+    assert np.max(np.abs(fine[0] - exact.values)) < 1e-4
 
 
 def test_interpolate_periodic_on_torus():
     u = from_callable(TORUS1D, 32, lambda s: np.sin(2 * np.pi * s))
-    fine = interpolate(u, 128)
+    fine = interpolate(TORUS1D, 32, u.values[None, :], 128)
     exact = from_callable(TORUS1D, 128, lambda s: np.sin(2 * np.pi * s))
-    assert np.max(np.abs(fine.values - exact.values)) < 1e-4
+    assert np.max(np.abs(fine[0] - exact.values)) < 1e-4
 
 
 def test_interpolate_then_subsample_recovers_source():
     rng = np.random.default_rng(7)
-    u = GridFunction(BOX2D, 9, rng.standard_normal(81))
-    back = subsample(interpolate(u, 17), 2)
-    assert np.max(np.abs(back.values - u.values)) < 1e-14
+    u = rng.standard_normal((3, 81))
+    back = subsample(BOX2D, 17, interpolate(BOX2D, 9, u, 17), 9)
+    assert np.max(np.abs(back - u)) < 1e-14
 
-    ut = GridFunction(TORUS1D, 16, rng.standard_normal(16))
-    backt = subsample(interpolate(ut, 64), 4)
-    assert np.max(np.abs(backt.values - ut.values)) < 1e-14
+    ut = rng.standard_normal((3, 16))
+    backt = subsample(TORUS1D, 64, interpolate(TORUS1D, 16, ut, 64), 16)
+    assert np.max(np.abs(backt - ut)) < 1e-14
+
+
+@pytest.mark.parametrize("domain, n, targets", [(BOX2D, 17, (33, 65, 9, 5)),
+                                                (TORUS1D, 32, (64, 128, 16, 8))])
+def test_batched_moves_equal_row_by_row_calls(domain, n, targets):
+    rows = np.random.default_rng(4).standard_normal((6, n * n if domain == BOX2D else n))
+    for target_n in targets:
+        move = interpolate if target_n > n else subsample
+        batched = move(domain, n, rows, target_n)
+        assert batched.flags.c_contiguous
+        singles = np.concatenate([move(domain, n, row[None, :], target_n) for row in rows])
+        assert np.array_equal(batched, singles)
 
 
 def test_norm_triangle_inequality():

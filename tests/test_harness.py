@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import importlib.util
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -193,6 +195,56 @@ def test_eval_with_a_broken_model_meta_is_a_one_line_error(tmp_path, capsys, poi
     assert str(model / "meta") in err and wanted in err
 
 
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory, poisson_train):
+    """A dataset directory `data` and a linear model directory `model`."""
+    root = tmp_path_factory.mktemp("bundles")
+    write_dataset(poisson_train, str(root / "data"))
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=4, regressor="linear"))
+    save_surrogate(sur, str(root / "model"))
+    return root
+
+
+def _append_non_ascii(bundle):
+    with open(bundle / "meta", "ab") as fh:
+        fh.write(b"note = \xff\n")
+
+
+# (command, the bundle it reads, how that bundle is broken, the path the
+# error must name relative to the bundle root, what the error must say)
+BAD_BUNDLES = {
+    "fit_no_such_dataset": ("fit", "nosuch", None, "nosuch", "no such directory"),
+    "eval_no_such_model": ("eval", "nosuch", None, "nosuch", "no such directory"),
+    "eval_model_without_meta": ("eval", "empty", lambda b: b.mkdir(), "empty",
+                                "not a dataset or model directory"),
+    "fit_meta_not_ascii": ("fit", "data", _append_non_ascii, "data/meta",
+                           "does not decode"),
+    "fit_missing_y": ("fit", "data", lambda b: (b / "y.f64").unlink(), "data/y.f64",
+                      "missing tensor 'y'"),
+    "eval_missing_lin_bias": ("eval", "model", lambda b: (b / "lin_bias.f64").unlink(),
+                              "model/lin_bias.f64", "missing tensor 'lin_bias'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
+def test_cli_bad_bundle_path_is_a_one_line_error(tmp_path, bundles, case):
+    command, name, breakage, named, wanted = BAD_BUNDLES[case]
+    root = tmp_path / "root"
+    shutil.copytree(bundles, root)
+    if breakage is not None:
+        breakage(root / name)
+    if command == "fit":
+        argv = ["fit", "--d", "2", "--regressor", "linear", "--dataset", str(root / name),
+                "--out", str(root), "--name", "refit"]
+    else:
+        argv = ["eval", "--model", str(root / name), "--dataset", str(root / "data")]
+    proc = run_cli(argv, cwd=str(tmp_path), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"opsurrogate {command}: error: "), proc.stderr
+    assert str(root / named) in proc.stderr and wanted in proc.stderr, proc.stderr
+
+
 def test_save_rejects_mixed_weighted_flags(tmp_path, poisson_train):
     # the model format stores one `weighted` flag for both PCAs
     sur, _ = fit_from_dataset(poisson_train, FitConfig(d=5, regressor="linear"))
@@ -368,26 +420,48 @@ def test_cli_transfer_to_another_domain_is_usage_error(tmp_path):
     assert "box2d n=17" in proc.stderr and "torus1d n=16" in proc.stderr
 
 
-def test_train_surrogate_demo_runs():
-    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
-                        "train_surrogate.py")
-    proc = subprocess.run([sys.executable, demo], env=single_threaded_env(),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    errors = dict(re.findall(r"^(linear|nn)\s*: relative test error (\S+)",
-                             proc.stdout, re.M))
-    assert sorted(errors) == ["linear", "nn"], proc.stdout
-    assert all(np.isfinite(float(e)) for e in errors.values()), proc.stdout
+def _check_train_surrogate(stdout):
+    errors = dict(re.findall(r"^(linear|nn)\s*: relative test error (\S+)", stdout, re.M))
+    assert sorted(errors) == ["linear", "nn"], stdout
+    assert all(np.isfinite(float(e)) for e in errors.values()), stdout
 
 
-def test_solver_validation_demo_runs():
-    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
-                        "solver_validation.py")
-    proc = subprocess.run([sys.executable, demo], env=single_threaded_env(),
-                          capture_output=True, text=True)
+def _check_solver_validation(stdout):
+    match = re.search(r"Burgers vs Cole-Hopf.*\n\s+relative L2 error (\S+)", stdout)
+    assert match and float(match.group(1)) < 1e-6, stdout
+
+
+DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+DEMO_CHECKS = {"train_surrogate.py": _check_train_surrogate,
+               "solver_validation.py": _check_solver_validation}
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMO_DIR)
+                                         if f.endswith(".py")))
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, os.path.join(DEMO_DIR, demo)],
+                          env=single_threaded_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    match = re.search(r"Burgers vs Cole-Hopf.*\n\s+relative L2 error (\S+)", proc.stdout)
-    assert match and float(match.group(1)) < 1e-6, proc.stdout
+    assert "Traceback" not in proc.stderr
+    DEMO_CHECKS.get(demo, lambda stdout: None)(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isfile(os.path.join(PERFBENCH, "child.py")),
+                    reason="no perfbench/ in this checkout")
+def test_perfbench_trace_table_names_resolve(monkeypatch):
+    # the benchmark's tracer wraps these module attributes by name; one that
+    # no longer resolves is skipped there and only counted as a missing wrap
+    monkeypatch.setattr(sys, "path", list(sys.path))  # child.py prepends its own dir
+    spec = importlib.util.spec_from_file_location("perfbench_child",
+                                                  os.path.join(PERFBENCH, "child.py"))
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    table = child.trace_table(child.Tracer(), np)
+    assert table
+    for module_name, attr, *_ in table:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 def test_cli_theory_commands(tmp_path):
@@ -449,6 +523,10 @@ BASELINE_TAYLOR = ["baseline-taylor", "--problem", "coeff_model", *GENERATE[3:7]
     (GENERATE, ["--coeff-dim", "0"], "positive integer"),
     (BASELINE_RB, ["--problem", "poisson"], "invalid choice"),
     (BASELINE_TAYLOR, ["--problem", "darcy_piecewise"], "invalid choice"),
+    (SWEEP, ["--regressors", "linear,foo"], "nn and linear"),
+    (SWEEP, ["--regressors", ""], "nn and linear"),
+    (SWEEP, ["--regressors", "nn,"], "nn and linear"),
+    (SWEEP, ["--regressors", "NN"], "nn and linear"),
 ])
 def test_out_of_range_integer_flags_are_usage_errors(capsys, argv, flag, wanted):
     with pytest.raises(SystemExit) as exc:
@@ -456,6 +534,13 @@ def test_out_of_range_integer_flags_are_usage_errors(capsys, argv, flag, wanted)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and flag[0] in err and wanted in err
+
+
+@pytest.mark.parametrize("text, parsed", [("nn,linear", ("nn", "linear")),
+                                          ("linear", ("linear",))])
+def test_sweep_regressors_parse(text, parsed):
+    assert build_parser().parse_args(SWEEP).regressors == ("nn", "linear")
+    assert build_parser().parse_args([*SWEEP, "--regressors", text]).regressors == parsed
 
 
 BURGERS = ["generate", "--problem", "burgers", "--resolution", "16", "--count", "2",

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from opsurrogate.grid import BOX2D, GridFunction, ShapeError, inner_product, norm
+from opsurrogate.grid import BOX2D, GridFunction, ShapeError, norm, quadrature_weights
 from opsurrogate.pca import (
     PcaConfigError,
     RankDeficiencyError,
-    decode,
+    decode_batch,
     empirical_projection_error,
-    encode,
+    encode_batch,
     fit_pca,
     transfer_basis,
 )
@@ -33,9 +33,9 @@ def test_repeated_function_spectrum():
     model = fit([u] * 8, d=1)
     assert model.eigenvalues[0] == pytest.approx(norm(u) ** 2, rel=1e-12)
     assert np.max(np.abs(model.eigenvalues[1:])) < 1e-12
-    phi1 = decode(model, np.array([1.0]))
-    sign = np.sign(np.dot(phi1.values, u.values))
-    assert np.max(np.abs(phi1.values - sign * u.values / norm(u))) < 1e-10
+    phi1 = decode_batch(model, np.array([[1.0]]))[0]
+    sign = np.sign(np.dot(phi1, u.values))
+    assert np.max(np.abs(phi1 - sign * u.values / norm(u))) < 1e-10
 
 
 def test_recovers_kl_spectrum():
@@ -60,9 +60,8 @@ def test_recovers_kl_spectrum():
 def test_basis_orthonormality():
     data = mu_g_samples(17, 40, base_seed=10)
     model = fit(data, d=10)
-    gram = np.array([[inner_product(decode(model, np.eye(10)[i]),
-                                    decode(model, np.eye(10)[j]))
-                      for j in range(10)] for i in range(10)])
+    phis = decode_batch(model, np.eye(10))
+    gram = (phis * quadrature_weights(BOX2D, 17)) @ phis.T
     assert np.max(np.abs(gram - np.eye(10))) < 1e-8
 
 
@@ -76,18 +75,16 @@ def test_sign_convention():
 def test_encode_basis_gives_standard_vectors():
     data = mu_g_samples(17, 30, base_seed=20)
     model = fit(data, d=6)
-    for k in range(6):
-        e = encode(model, decode(model, np.eye(6)[k]))
-        assert np.max(np.abs(e - np.eye(6)[k])) < 1e-12
+    e = encode_batch(model, decode_batch(model, np.eye(6)))
+    assert np.max(np.abs(e - np.eye(6))) < 1e-12
 
 
 def test_encode_bessel_and_zero():
     data = mu_g_samples(17, 30, base_seed=30)
     model = fit(data, d=6)
     u = sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=999)
-    assert np.linalg.norm(encode(model, u)) <= norm(u) * (1 + 1e-12)
-    z = GridFunction(BOX2D, 17, np.zeros(17 * 17))
-    assert np.array_equal(encode(model, z), np.zeros(6))
+    assert np.linalg.norm(encode_batch(model, u.values[None, :])) <= norm(u) * (1 + 1e-12)
+    assert np.array_equal(encode_batch(model, np.zeros((1, 17 * 17))), np.zeros((1, 6)))
 
 
 def test_decode_isometry_and_idempotence():
@@ -95,12 +92,12 @@ def test_decode_isometry_and_idempotence():
     model = fit(data, d=6)
     rng = np.random.default_rng(3)
     s, t = rng.standard_normal(6), rng.standard_normal(6)
-    diff = GridFunction(BOX2D, 17, decode(model, s).values - decode(model, t).values)
-    assert norm(diff) == pytest.approx(np.linalg.norm(s - t), rel=1e-10)
+    diff = decode_batch(model, s[None, :]) - decode_batch(model, t[None, :])
+    assert norm(GridFunction(BOX2D, 17, diff)) == pytest.approx(np.linalg.norm(s - t),
+                                                              rel=1e-10)
 
-    u = data[0]
-    s1 = encode(model, u)
-    s2 = encode(model, decode(model, s1))
+    s1 = encode_batch(model, data[0].values[None, :])
+    s2 = encode_batch(model, decode_batch(model, s1))
     assert np.max(np.abs(s1 - s2)) < 1e-12
 
 
@@ -108,9 +105,9 @@ def test_pythagoras():
     data = mu_g_samples(17, 30, base_seed=50)
     model = fit(data, d=6)
     u = sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=1234)
-    s = encode(model, u)
-    resid = GridFunction(BOX2D, 17, u.values - decode(model, s).values)
-    lhs = norm(resid) ** 2 + np.dot(s, s)
+    s = encode_batch(model, u.values[None, :])
+    resid = GridFunction(BOX2D, 17, u.values - decode_batch(model, s)[0])
+    lhs = norm(resid) ** 2 + np.sum(s * s)
     assert lhs == pytest.approx(norm(u) ** 2, rel=1e-10)
 
 

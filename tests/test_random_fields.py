@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsurrogate.datasets import ProblemConfig, generate_dataset
-from opsurrogate.grid import inner_product, norm, quadrature_weights, subsample
+from opsurrogate.grid import BOX2D, TORUS1D, norm, quadrature_weights, subsample
 from opsurrogate.random_fields import (
     ConfigError,
     box_mode_stddevs,
@@ -19,7 +19,6 @@ from opsurrogate.random_fields import (
     sample_field,
     sample_gaussian_box,
     sample_mu_b,
-    sample_mu_p,
     threshold_map,
     torus_mode_stddevs,
 )
@@ -52,12 +51,13 @@ def test_mesh_consistency_fine_then_subsample():
     spec = mu_g_spec(cutoff=8)
     fine = sample_gaussian_box(spec, 33, seed=5)
     coarse = sample_gaussian_box(spec, 17, seed=5)
-    assert np.array_equal(subsample(fine, 2).values, coarse.values)
+    assert np.array_equal(subsample(BOX2D, 33, fine.values[None, :], 17)[0], coarse.values)
 
     specb = mu_b_spec(cutoff=31)
     fineb = sample_mu_b(specb, 256, seed=5)
     coarseb = sample_mu_b(specb, 64, seed=5)
-    assert np.array_equal(subsample(fineb, 4).values, coarseb.values)
+    assert np.array_equal(subsample(TORUS1D, 256, fineb.values[None, :], 64)[0],
+                          coarseb.values)
 
 
 def test_threshold_map_branches():
@@ -70,13 +70,17 @@ def test_threshold_map_branches():
 def test_mu_l_positive_and_mu_p_two_valued():
     ul = sample_field(mu_l_spec(8), 17, seed=3)
     assert np.all(ul.values > 0)
-    up = sample_mu_p(mu_p_spec(8), 17, seed=3)
+    up = sample_field(mu_p_spec(8), 17, seed=3)
     assert set(np.unique(up.values)) <= {3.0, 12.0}
+    # both are pointwise maps of the mu_G draw with the same seed
+    g = sample_gaussian_box(mu_g_spec(8), 17, seed=3).values
+    assert np.array_equal(ul.values, np.exp(g))
+    assert np.array_equal(up.values, threshold_map(g))
 
 
 def test_mu_p_high_fraction_near_half():
     spec = mu_p_spec(cutoff=4)
-    fracs = [np.mean(sample_mu_p(spec, 9, seed=s).values == 12.0) for s in range(400)]
+    fracs = [np.mean(sample_field(spec, 9, seed=s).values == 12.0) for s in range(400)]
     # mean-zero Gaussian is symmetric about 0
     assert abs(np.mean(fracs) - 0.5) < 0.05
 

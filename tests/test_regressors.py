@@ -291,7 +291,7 @@ def test_training_is_bit_identical_to_list_based_reference(monkeypatch, block):
     yt = np.tanh(xt @ rng.standard_normal((4, 3)))
     cfg = TrainConfig(epochs=4, batch_size=16, seed=15, learning_rates=(50.0, 1e-2))
     init = init_mlp([4, 12, 10, 3], seed=16)
-    saved = init.copy()
+    saved = init_mlp([4, 12, 10, 3], seed=16)  # an independent copy of init
 
     def metric(model):
         # keeps the dtype of the weights: a float32 metric for a float32 model
@@ -399,7 +399,7 @@ def test_training_on_self_generated_targets_starts_at_zero():
     x = rng.standard_normal((32, 4))
     y = mlp_forward(model, x)
     cfg = TrainConfig(epochs=3, batch_size=16, seed=1)
-    result = train_mlp(model.copy(), x, y, cfg)
+    result = train_mlp(model, x, y, cfg)
     assert result.train_loss[0] == pytest.approx(0.0, abs=1e-20)
     assert np.all(np.isfinite(result.train_loss))
 

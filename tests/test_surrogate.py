@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsurrogate.grid import BOX2D, GridFunction, norm, quadrature_weights
-from opsurrogate.pca import decode, encode, encode_batch, fit_pca
+from opsurrogate.pca import decode_batch, encode_batch, fit_pca
 from opsurrogate.random_fields import (
     coeff_model_basis,
     coeff_model_spec,
@@ -10,7 +10,7 @@ from opsurrogate.random_fields import (
     sample_gaussian_box,
 )
 from opsurrogate.regressors import LinearModel, TrainConfig, fit_linear
-from opsurrogate.solvers import solve_poisson
+from opsurrogate.solvers import NumericalError, solve_poisson
 from opsurrogate.surrogate import (
     RbSolver,
     Surrogate,
@@ -18,7 +18,6 @@ from opsurrogate.surrogate import (
     fit_surrogate,
     predict_batch,
     predict_function,
-    psi_pca_error,
     relative_errors,
     relative_test_error,
     taylor_truncation_poisson,
@@ -133,52 +132,54 @@ def test_predict_function_latent_isometry(poisson_data):
     sur = build_linear_surrogate(xs, ys, d=6)
     rng = np.random.default_rng(1)
     delta = rng.standard_normal(6)
-    base = decode(sur.pca_out, np.zeros(6))
-    moved = decode(sur.pca_out, delta)
-    diff = GridFunction(BOX2D, 17, moved.values - base.values)
+    base, moved = decode_batch(sur.pca_out, np.stack([np.zeros(6), delta]))
+    diff = GridFunction(BOX2D, 17, moved - base)
     assert norm(diff) == pytest.approx(np.linalg.norm(delta), rel=1e-10)
-
-
-def test_psi_pca_error_monotone_in_d(poisson_data):
-    xs, ys = poisson_data
-    pcas = {d: (fit_pca(xs, BOX2D, 17, d), fit_pca(ys, BOX2D, 17, d))
-            for d in (4, 8, 16)}
-
-    errs = [psi_pca_error(pcas[d][0], pcas[d][1], solve_poisson, xs[:12], ys[:12])
-            for d in (4, 8, 16)]
-    assert errs[0] >= errs[1] >= errs[2]
 
 
 def test_rb_recovers_solution_in_span():
     spec = mu_g_spec(cutoff=4)
     n = 33
-    a_vals = np.exp(0.3 * sample_gaussian_box(spec, n, seed=1).values)
-    a = GridFunction(BOX2D, n, a_vals)
-    f = GridFunction(BOX2D, n, np.ones(n * n))
+    a = np.exp(0.3 * sample_gaussian_box(spec, n, seed=1).values)
+    f = np.ones(n * n)
     from opsurrogate.solvers import EllipticProblem, solve_darcy
-    truth = solve_darcy(EllipticProblem(a, f))
+    truth = solve_darcy(EllipticProblem(GridFunction(BOX2D, n, a),
+                                        GridFunction(BOX2D, n, f)))
     pca = fit_pca(truth.values[None, :], BOX2D, n, d=1)
-    out = RbSolver(pca).solve(a, f)
-    rel = norm(GridFunction(BOX2D, n, out.values - truth.values)) / norm(truth)
+    out = RbSolver(pca).solve(a[None, :], f)
+    assert out.shape == (1, n * n)
+    rel = norm(GridFunction(BOX2D, n, out[0] - truth.values)) / norm(truth)
     assert rel < 1e-2
 
 
 def test_rb_zero_forcing_gives_zero(poisson_data):
     xs, ys = poisson_data
     pca = fit_pca(ys, BOX2D, 17, d=5)
-    a = GridFunction(BOX2D, 17, np.ones(17 * 17))
-    f = GridFunction(BOX2D, 17, np.zeros(17 * 17))
-    out = RbSolver(pca).solve(a, f)
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = RbSolver(pca).solve(np.ones((3, 17 * 17)), np.zeros(17 * 17))
+    assert np.max(np.abs(out)) < 1e-12
+
+
+def test_rb_batch_equals_single_row_solves():
+    spec = mu_g_spec(cutoff=4)
+    a_rows = np.stack([np.exp(0.3 * sample_gaussian_box(spec, 17, seed=s).values)
+                       for s in range(5)])
+    f = np.ones(17 * 17)
+    rb = RbSolver(fit_pca(a_rows, BOX2D, 17, d=4))
+    batch = rb.solve(a_rows, f)
+    singles = np.concatenate([rb.solve(a[None, :], f) for a in a_rows])
+    assert np.array_equal(batch, singles)
+    assert rb.solve(a_rows[:0], f).shape == (0, 17 * 17)
+    with pytest.raises(NumericalError):
+        rb.solve(np.vstack([a_rows, -a_rows[:1]]), f)
 
 
 def test_taylor_zero_head_coefficients():
     spec = coeff_model_spec(cutoff=8)
-    pred = taylor_truncation_poisson(spec, K=5, n=17)
-    out = pred.predict(np.zeros((1, 5)))
-    assert np.max(np.abs(out)) == 0.0
+    etas = taylor_truncation_poisson(spec, K=5, n=17)
+    assert etas.shape == (5, 17 * 17)
+    assert np.max(np.abs(np.zeros((1, 5)) @ etas)) == 0.0
     # the K basis solves share one factorisation and equal single solves
-    for phi, eta in zip(coeff_model_basis(spec, 5, 17), pred.etas):
+    for phi, eta in zip(coeff_model_basis(spec, 5, 17), etas):
         assert np.array_equal(solve_poisson(GridFunction(BOX2D, 17, phi)).values, eta)
 
 
@@ -187,8 +188,7 @@ def test_taylor_full_truncation_is_solver_exact():
     cfg = ProblemConfig(problem="coeff_model", resolution=17, count=8,
                         seed=3, coeff_dim=12)
     ds = generate_dataset(cfg)
-    pred = taylor_truncation_poisson(cfg.measure(), K=12, n=17)
-    out = pred.predict(ds.xis)
+    etas = taylor_truncation_poisson(cfg.measure(), K=12, n=17)
     w = quadrature_weights(BOX2D, 17)
-    ratios, _ = relative_errors(out, ds.ys, w)
+    ratios, _ = relative_errors(ds.xis @ etas, ds.ys, w)
     assert np.max(ratios) < 1e-6

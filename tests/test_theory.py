@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from opsurrogate.grid import BOX2D, GridFunction
-from opsurrogate.pca import encode, fit_pca
+from opsurrogate.grid import BOX2D
+from opsurrogate.pca import decode_batch, encode_batch, fit_pca
 from opsurrogate.random_fields import mu_g_spec, sample_gaussian_box
 from opsurrogate.theory import (
     check_chebyshev_coverage,
@@ -95,19 +95,18 @@ def test_encoder_equality_and_orthogonal_cases():
     spec = mu_g_spec(cutoff=8)
     data = np.stack([sample_gaussian_box(spec, 17, seed=700 + i).values for i in range(40)])
     pca = fit_pca(data, BOX2D, 17, d=8)
-    from opsurrogate.pca import decode
-
     rng = np.random.default_rng(7)
     s, t = rng.standard_normal(8), rng.standard_normal(8)
-    v, z = decode(pca, s), decode(pca, t)
+    v, z = decode_batch(pca, np.stack([s, t]))
     # difference in the span: isometry
-    num = np.linalg.norm(encode(pca, v) - encode(pca, z))
-    assert num == pytest.approx(np.linalg.norm(s - t), rel=1e-10)
+    codes = encode_batch(pca, np.stack([v, z]))
+    assert np.linalg.norm(codes[0] - codes[1]) == pytest.approx(np.linalg.norm(s - t),
+                                                                rel=1e-10)
     # difference orthogonal to the span: encoder difference vanishes
-    u = sample_gaussian_box(spec, 17, seed=900)
-    resid = GridFunction(BOX2D, 17, u.values - decode(pca, encode(pca, u)).values)
-    shifted = GridFunction(BOX2D, 17, v.values + resid.values)
-    assert np.linalg.norm(encode(pca, shifted) - encode(pca, v)) < 1e-10
+    u = sample_gaussian_box(spec, 17, seed=900).values[None, :]
+    resid = u - decode_batch(pca, encode_batch(pca, u))
+    shifted = encode_batch(pca, v + resid)
+    assert np.linalg.norm(shifted - encode_batch(pca, v[None, :])) < 1e-10
 
 
 def test_random_psd_matrix_is_psd():
