@@ -1,6 +1,6 @@
 """Mesh-independent surrogates for PDE solution maps: PCA dimension
 reduction on input/output function spaces composed with a latent-space
-regressor (dense SELU network or affine least squares).
+regressor (dense SELU network; affine least squares is one with no hidden layer).
 
 The public names below are resolved lazily (PEP 562), so importing the
 package, or its `cli` entry point, does not load numpy. The CLI relies on
@@ -42,7 +42,6 @@ _EXPORTS = {
         "sample_field",
     ),
     "regressors": (
-        "LinearModel",
         "MlpModel",
         "TrainConfig",
         "fit_linear",

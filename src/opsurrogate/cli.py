@@ -38,7 +38,10 @@ def _pin_threads(argv):
 
 
 def _out_root(args) -> str:
-    return args.out or os.environ.get("OPSURROGATE_OUT", ".")
+    """The output root, made before any work so that a bad one fails first."""
+    root = args.out or os.environ.get("OPSURROGATE_OUT", ".")
+    os.makedirs(root, exist_ok=True)
+    return root
 
 
 def _add_common(p):
@@ -155,8 +158,8 @@ def cmd_generate(args) -> int:
     from .datasets import generate_dataset, write_dataset
 
     cfg = _problem_config(args)
-    ds = generate_dataset(cfg)
     path = os.path.join(_out_root(args), args.name)
+    ds = generate_dataset(cfg)
     write_dataset(ds, path)
     print(f"wrote dataset {path} ({cfg.count} samples at n={cfg.resolution})")
     return 0
@@ -164,13 +167,19 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     from .datasets import read_dataset
+    from .grid import ShapeError
     from .harness import fit_from_dataset, save_surrogate
 
     ds = read_dataset(args.dataset)
     test_ds = read_dataset(args.test_dataset) if args.test_dataset else None
+    grid = (ds.config.domain, ds.resolution)
+    if test_ds is not None and (test_ds.config.domain, test_ds.resolution) != grid:
+        raise ShapeError(f"--test-dataset {args.test_dataset} is on grid "
+                         f"{test_ds.config.domain} n={test_ds.resolution}, not on the "
+                         f"training grid {grid[0]} n={grid[1]}")
     fit_cfg = _fit_config(args)
-    sur, result = fit_from_dataset(ds, fit_cfg, test_ds=test_ds)
     path = os.path.join(_out_root(args), args.name)
+    sur, result = fit_from_dataset(ds, fit_cfg, test_ds=test_ds)
     meta = {
         "problem": ds.config.problem,
         "train_count": ds.config.count,
@@ -202,7 +211,7 @@ def cmd_eval(args) -> int:
     import csv
 
     from .datasets import read_dataset
-    from .harness import evaluate, load_surrogate
+    from .harness import evaluate, load_surrogate, regressor_kind
 
     sur = load_surrogate(args.model)
     test = read_dataset(args.dataset)
@@ -215,7 +224,7 @@ def cmd_eval(args) -> int:
         "resolution": test.resolution,
         "d": sur.pca_in.d,
         "N": test.config.count,
-        "regressor": "linear" if type(sur.regressor).__name__ == "LinearModel" else "nn",
+        "regressor": regressor_kind(sur),
         "relative_error": repr(error),
         "online_seconds": repr(online),
         "skipped_zero_norm": skipped,
@@ -241,10 +250,10 @@ def cmd_sweep(args) -> int:
 
     base = _problem_config(args)
     fit_cfg = _fit_config(args)
+    root = _out_root(args)
     values = list(args.values)
     rows = run_sweep(base, fit_cfg, args.axis, values, args.n_test,
                      args.test_seed, regressors=args.regressors)
-    root = _out_root(args)
     csv_path = os.path.join(root, f"{args.name}.csv")
     write_csv(csv_path, rows, SWEEP_COLUMNS)
     axis_key = {"resolution": "resolution", "dimension": "d", "samples": "N"}[args.axis]
@@ -266,11 +275,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_transfer(args) -> int:
     from .datasets import read_dataset
-    from .harness import check_same_domain, evaluate, load_surrogate, transfer_surrogate
+    from .harness import check_grid, evaluate, load_surrogate, transfer_surrogate
 
     sur = load_surrogate(args.model)
     test = read_dataset(args.dataset)
-    check_same_domain(sur, test)
+    check_grid(sur, test, allow_transfer=True)
     moved, gram_residual = transfer_surrogate(sur, test.resolution)
     error, online, skipped = evaluate(moved, test)
     row = {
@@ -313,9 +322,9 @@ def cmd_baseline_taylor(args) -> int:
     from .protocols import CHKIFA_COLUMNS, run_chkifa_comparison
 
     base = _problem_config(args)
+    path = os.path.join(_out_root(args), f"{args.name}.csv")
     budgets = list(args.budgets)
     rows = run_chkifa_comparison(base, budgets, args.n_test, args.test_seed)
-    path = os.path.join(_out_root(args), f"{args.name}.csv")
     write_csv(path, rows, CHKIFA_COLUMNS)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
@@ -336,32 +345,28 @@ def cmd_theory(args) -> int:
     elif args.check == "mc-rate":
         from .theory import check_mc_covariance_rate
 
-        spec = mu_g_spec(args.cutoff or 8)
+        spec = mu_g_spec(8 if args.cutoff is None else args.cutoff)
         n_list = list(args.n_list)
         report = check_mc_covariance_rate(spec, n_list, args.trials, args.seed)
     elif args.check == "chebyshev":
         from .theory import check_chebyshev_coverage
 
-        spec = mu_g_spec(args.cutoff or 16)
+        spec = mu_g_spec(16 if args.cutoff is None else args.cutoff)
         report = check_chebyshev_coverage(
             spec, args.d, args.delta, args.n_train, args.n_test, args.seed
         )
-    elif args.check == "lipschitz":
+    else:
         import numpy as np
 
         from .pca import fit_pca
         from .random_fields import derive_seed, sample_field
         from .theory import check_encoder_lipschitz
 
-        spec = mu_g_spec(args.cutoff or 16)
+        spec = mu_g_spec(16 if args.cutoff is None else args.cutoff)
         data = np.stack([sample_field(spec, 33, derive_seed(args.seed, i)).values
                          for i in range(args.n_train)])
         model = fit_pca(data, "box2d", 33, args.d)
         report = check_encoder_lipschitz(model, args.trials, args.seed + 1)
-    else:
-        print(f"error: unknown theory check {args.check!r}; "
-              f"choose from {THEORY_CHECKS}", file=sys.stderr)
-        return 2
     print(report.summary())
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -377,9 +382,9 @@ def cmd_timing(args) -> int:
 
     base = _problem_config(args)
     fit_cfg = _fit_config(args)
+    path = os.path.join(_out_root(args), f"{args.name}.csv")
     d_list = list(args.d_list)
     rows = run_rb_timing(base, d_list, fit_cfg)
-    path = os.path.join(_out_root(args), f"{args.name}.csv")
     write_csv(path, rows, TIMING_COLUMNS)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help=f"run an empirical theory check: "
                        f"{', '.join(THEORY_CHECKS)}")
     _add_common(p)
-    p.add_argument("check", nargs="?", default="")
+    p.add_argument("check", choices=THEORY_CHECKS)
     p.add_argument("--dim", type=_positive_int, default=6)
     p.add_argument("--d", type=_positive_int, default=2)
     p.add_argument("--trials", type=_positive_int, default=1000)
@@ -481,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("timing", help="online/offline timing: RB vs PCA+NN vs "
                        "PCA+linear; CSV: method,d,online_s,offline_s")
     _add_common(p)
-    _add_problem_args(p)
+    _add_problem_args(p, COEFFICIENT_PROBLEMS)
     _add_fit_args(p)
     p.add_argument("--d-list", type=_positive_ints, required=True)
     p.add_argument("--name", required=True)
@@ -497,15 +502,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from .datasets import FormatError
     from .grid import ShapeError
-    from .pca import PcaConfigError
+    from .pca import PcaConfigError, RankDeficiencyError
     from .random_fields import ConfigError
 
     try:
         return args.func(args)
-    except (ConfigError, PcaConfigError, ShapeError, FormatError) as exc:
+    except (ConfigError, PcaConfigError, RankDeficiencyError, ShapeError, FormatError,
+            OSError) as exc:
         # a flag in its own range that does not fit the others or the data,
-        # such as a KL cutoff above the grid's Nyquist limit or d > N, or a
-        # dataset or model file that does not match its `meta`
+        # such as a KL cutoff above Nyquist or d above the data's rank, a file
+        # that does not match its `meta`, or an output path that cannot be written
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

@@ -27,7 +27,7 @@ from .datasets import (
 )
 from .grid import BOX2D, TORUS1D, ShapeError
 from .pca import PcaModel, fit_pca, transfer_basis
-from .regressors import DEFAULT_HIDDEN, LinearModel, MlpModel, TrainConfig
+from .regressors import DEFAULT_HIDDEN, MlpModel, TrainConfig
 from .surrogate import Surrogate, fit_surrogate, relative_test_error
 from .surrogate import relative_errors  # noqa: F401  (perfbench times it under this name)
 
@@ -41,19 +41,8 @@ class FitConfig:
     epochs: int = 500
     batch_size: int = 64
     seed: int = 0
-    momentum: float = 0.99
-    learning_rates: tuple = (1e-2, 5e-3, 1e-3, 5e-4, 1e-4)
     hidden: tuple = DEFAULT_HIDDEN
     weighted: bool = True
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rates=self.learning_rates,
-            momentum=self.momentum,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=self.seed,
-        )
 
 
 def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = None):
@@ -68,7 +57,7 @@ def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = 
         pca_in,
         pca_out,
         fit_cfg.regressor,
-        fit_cfg.train_config(),
+        TrainConfig(batch_size=fit_cfg.batch_size, epochs=fit_cfg.epochs, seed=fit_cfg.seed),
         hidden=fit_cfg.hidden,
         test=None if test_ds is None else (test_ds.xs, test_ds.ys),
     )
@@ -76,6 +65,11 @@ def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = 
 
 # ---------------------------------------------------------------------------
 # model persistence
+
+def regressor_kind(sur: Surrogate) -> str:
+    """"linear" for a network with no hidden layer, else "nn"."""
+    return "linear" if len(sur.regressor.weights) == 1 else "nn"
+
 
 def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = None,
                    loss_history=None, test_history=None):
@@ -92,13 +86,11 @@ def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = Non
         meta.update({f"domain_{side}": pca.domain, f"n_{side}": pca.n,
                      f"d_{side}": pca.d, f"n_eigs_{side}": pca.eigenvalues.size})
         tensors.update({f"basis_{side}": pca.basis, f"eigs_{side}": pca.eigenvalues})
-    if sur.target_mean is not None:
-        tensors.update(target_mean=sur.target_mean, target_std=sur.target_std)
-    if isinstance(sur.regressor, LinearModel):
-        meta["regressor"] = "linear"
-        tensors.update(lin_matrix=sur.regressor.matrix, lin_bias=sur.regressor.bias)
+    tensors.update(target_mean=sur.target_mean, target_std=sur.target_std)
+    meta["regressor"] = regressor_kind(sur)
+    if meta["regressor"] == "linear":
+        tensors.update(lin_matrix=sur.regressor.weights[0], lin_bias=sur.regressor.biases[0])
     else:
-        meta["regressor"] = "nn"
         meta["layer_dims"] = "x".join(str(v) for v in sur.regressor.dims)
         for i, (W, b) in enumerate(zip(sur.regressor.weights, sur.regressor.biases)):
             tensors.update({f"w{i}": W, f"b{i}": b})
@@ -144,8 +136,8 @@ def load_surrogate(directory: str) -> Surrogate:
     mean = read_tensor(directory, "input_mean", (d_in,))
     std = read_tensor(directory, "input_std", (d_in,))
     if field("regressor", parse_choice("linear", "nn")) == "linear":
-        reg = LinearModel(read_tensor(directory, "lin_matrix", (d_out, d_in)),
-                          read_tensor(directory, "lin_bias", (d_out,)))
+        reg = MlpModel([read_tensor(directory, "lin_matrix", (d_out, d_in))],
+                       [read_tensor(directory, "lin_bias", (d_out,))])
     else:
         dims = field("layer_dims", _parse_dims)
         weights, biases = [], []
@@ -153,11 +145,9 @@ def load_surrogate(directory: str) -> Surrogate:
             weights.append(read_tensor(directory, f"w{i}", (fo, fi)))
             biases.append(read_tensor(directory, f"b{i}", (fo,)))
         reg = MlpModel(weights, biases)
-    tmean = tstd = None
-    if os.path.exists(os.path.join(directory, "target_mean.f64")):
-        tmean = read_tensor(directory, "target_mean", (d_out,))
-        tstd = read_tensor(directory, "target_std", (d_out,))
-    return Surrogate(pca_in, pca_out, reg, mean, std, tmean, tstd)
+    return Surrogate(pca_in, pca_out, reg, mean, std,
+                     read_tensor(directory, "target_mean", (d_out,)),
+                     read_tensor(directory, "target_std", (d_out,)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,36 +160,26 @@ def transfer_surrogate(sur: Surrogate, target_n: int) -> tuple[Surrogate, float]
     return replace(sur, pca_in=pca_in, pca_out=pca_out), max(res_in, res_out)
 
 
-def _grids_described(sur: Surrogate, test_ds: Dataset) -> str:
-    return (f"surrogate grid {sur.pca_in.domain} n={sur.pca_in.n} does not match "
-            f"test grid {test_ds.config.domain} n={test_ds.resolution}")
-
-
-def check_same_domain(sur: Surrogate, test_ds: Dataset) -> None:
-    """Raise a `ShapeError` naming both grids if `test_ds` lies on another
-    domain than the surrogate's input grid: a transfer cannot bridge that."""
-    if sur.pca_in.domain != test_ds.config.domain:
-        raise ShapeError(f"{_grids_described(sur, test_ds)}; a transfer moves the "
-                         "bases to another resolution, not to another domain")
-
-
-def needs_transfer(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False) -> bool:
+def check_grid(sur: Surrogate, test_ds: Dataset, allow_transfer: bool) -> bool:
     """Whether `test_ds` lies on another resolution than the surrogate's
     input grid. A `ShapeError` naming both grids says when it lies on
-    another domain, or on another resolution without `allow_transfer`."""
-    check_same_domain(sur, test_ds)
-    if sur.pca_in.n == test_ds.resolution:
-        return False
-    if not allow_transfer:
-        raise ShapeError(f"{_grids_described(sur, test_ds)}; use --transfer "
-                         "(allow_transfer) to move the PCA bases to the test grid")
-    return True
+    another domain, which a transfer cannot bridge, or on another
+    resolution without `allow_transfer`."""
+    grids = (f"surrogate grid {sur.pca_in.domain} n={sur.pca_in.n} does not match "
+             f"test grid {test_ds.config.domain} n={test_ds.resolution}")
+    if sur.pca_in.domain != test_ds.config.domain:
+        raise ShapeError(f"{grids}; a transfer moves the bases to another resolution, "
+                         "not to another domain")
+    if sur.pca_in.n != test_ds.resolution and not allow_transfer:
+        raise ShapeError(f"{grids}; use --transfer (allow_transfer) to move the PCA "
+                         "bases to the test grid")
+    return sur.pca_in.n != test_ds.resolution
 
 
 def evaluate(sur: Surrogate, test_ds: Dataset, allow_transfer: bool = False):
     """Relative test error, per-prediction online seconds, and the number of
     zero-norm test targets left out of the error."""
-    if needs_transfer(sur, test_ds, allow_transfer):
+    if check_grid(sur, test_ds, allow_transfer):
         sur, _ = transfer_surrogate(sur, test_ds.resolution)
     t0 = time.perf_counter()
     error, skipped = relative_test_error(sur, test_ds.xs, test_ds.ys)

@@ -1,5 +1,5 @@
 """Latent-space regressors: a dense SELU network trained by minibatch SGD
-with Nesterov momentum, and an affine least-squares baseline.
+with Nesterov momentum, and affine least squares, the net with no hidden layer.
 
 The training loop walks a descending list of learning-rate candidates and
 keeps the largest one whose loss never blows up. It runs in float32; the
@@ -83,12 +83,6 @@ def _flat_views(flat: np.ndarray, dims) -> MlpModel:
         biases.append(flat[stop:stop + fan_out])
         start = stop + fan_out
     return MlpModel(weights, biases)
-
-
-@dataclass
-class LinearModel:
-    matrix: np.ndarray
-    bias: np.ndarray
 
 
 @dataclass
@@ -334,9 +328,9 @@ def train_mlp(
     raise TrainingError(f"all learning-rate candidates blew up ({detail})")
 
 
-def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearModel:
+def fit_linear(x: np.ndarray, y: np.ndarray) -> MlpModel:
     """Affine least squares by the normal equations, with a relative 1e-12
-    Tikhonov damping on the diagonal for conditioning."""
+    Tikhonov damping on the diagonal for conditioning, as a one-layer network."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     n, d_in = x.shape
@@ -353,26 +347,16 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearModel:
     A = A + damping * np.eye(A.shape[0])
     rhs = design.T @ y / n
     coeffs = np.linalg.solve(A, rhs)
-    return LinearModel(matrix=coeffs[:-1].T.copy(), bias=coeffs[-1].copy())
+    return MlpModel([coeffs[:-1].T.copy()], [coeffs[-1].copy()])
 
 
-def predict(model, s: np.ndarray) -> np.ndarray:
-    """Forward pass of either regressor on one latent vector or a batch."""
-    s = np.asarray(s, dtype=np.float64)
-    single = s.ndim == 1
+def predict(model: MlpModel, s: np.ndarray) -> np.ndarray:
+    """`mlp_forward` on one latent vector or a batch."""
+    s = _float_array(s)
     s2 = np.atleast_2d(s)
-    if isinstance(model, LinearModel):
-        if s2.shape[1] != model.matrix.shape[1]:
-            raise ValueError(
-                f"input dim {s2.shape[1]} != model dim {model.matrix.shape[1]}"
-            )
-        out = s2 @ model.matrix.T + model.bias
-    elif isinstance(model, MlpModel):
-        if s2.shape[1] != model.weights[0].shape[1]:
-            raise ValueError(
-                f"input dim {s2.shape[1]} != model dim {model.weights[0].shape[1]}"
-            )
-        out = mlp_forward(model, s2)
-    else:
-        raise TypeError(f"unknown regressor type {type(model)!r}")
-    return out[0] if single else out
+    if s2.shape[1] != model.weights[0].shape[1]:
+        raise ValueError(
+            f"input dim {s2.shape[1]} != model dim {model.weights[0].shape[1]}"
+        )
+    out = mlp_forward(model, s2)
+    return out[0] if s.ndim == 1 else out

@@ -16,7 +16,7 @@ import numpy as np
 from .grid import GridFunction, ShapeError, quadrature_weights
 from .pca import PcaModel, decode_batch, encode_batch
 from .random_fields import MeasureSpec, coeff_model_basis
-from .regressors import DEFAULT_HIDDEN, TrainConfig, fit_linear, predict, train_mlp
+from .regressors import DEFAULT_HIDDEN, MlpModel, TrainConfig, fit_linear, predict, train_mlp
 from .solvers import NumericalError, darcy_solver
 
 
@@ -24,19 +24,16 @@ from .solvers import NumericalError, darcy_solver
 class Surrogate:
     pca_in: PcaModel
     pca_out: PcaModel
-    regressor: object  # MlpModel | LinearModel
+    regressor: MlpModel
     input_mean: np.ndarray
     input_std: np.ndarray
-    # target-code statistics; None means the regressor works on raw codes
-    target_mean: np.ndarray | None = None
-    target_std: np.ndarray | None = None
+    target_mean: np.ndarray
+    target_std: np.ndarray
 
     def standardize(self, codes: np.ndarray) -> np.ndarray:
         return (codes - self.input_mean) / self.input_std
 
     def destandardize_targets(self, latents: np.ndarray) -> np.ndarray:
-        if self.target_mean is None:
-            return latents
         return self.target_mean + self.target_std * latents
 
 
@@ -100,8 +97,8 @@ def fit_surrogate(
         return surrogate(fit_linear(z, zt)), None
     if regressor_kind != "nn":
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
-    # looked up per call: perfbench's tracer wraps them
-    from .regressors import init_mlp, mlp_forward
+    # looked up per call: perfbench's tracer wraps it
+    from .regressors import init_mlp
 
     cfg = train_cfg or TrainConfig()
     test_metric = None
@@ -114,8 +111,7 @@ def fit_surrogate(
             # a float32 training iterate gets a float32 forward; the
             # destandardize and decode are float64 either way
             codes = test_codes32 if mlp.weights[0].dtype == np.float32 else test_codes
-            latents = surrogate(mlp).destandardize_targets(mlp_forward(mlp, codes))
-            ratios, _ = relative_errors(decode_batch(pca_out, latents), test_ys,
+            ratios, _ = relative_errors(_predict_codes(surrogate(mlp), codes), test_ys,
                                         pca_out.weights)
             return float(np.mean(ratios))
 

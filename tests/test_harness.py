@@ -32,6 +32,7 @@ from opsurrogate.harness import (
     evaluate,
     fit_from_dataset,
     load_surrogate,
+    regressor_kind,
     run_sweep,
     save_surrogate,
     transfer_surrogate,
@@ -223,6 +224,9 @@ BAD_BUNDLES = {
                       "missing tensor 'y'"),
     "eval_missing_lin_bias": ("eval", "model", lambda b: (b / "lin_bias.f64").unlink(),
                               "model/lin_bias.f64", "missing tensor 'lin_bias'"),
+    "eval_missing_target_mean": ("eval", "model",
+                                 lambda b: (b / "target_mean.f64").unlink(),
+                                 "model/target_mean.f64", "missing tensor 'target_mean'"),
 }
 
 
@@ -243,6 +247,21 @@ def test_cli_bad_bundle_path_is_a_one_line_error(tmp_path, bundles, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"opsurrogate {command}: error: "), proc.stderr
     assert str(root / named) in proc.stderr and wanted in proc.stderr, proc.stderr
+
+
+def test_linear_model_directory_keeps_the_affine_format(bundles, poisson_train):
+    # the one-layer network is saved as the affine map, and loads back as it
+    model = bundles / "model"
+    meta = read_meta(str(model / "meta"))
+    assert meta["regressor"] == "linear" and "layer_dims" not in meta
+    assert {"lin_matrix.f64", "lin_bias.f64", "target_mean.f64", "target_std.f64"} <= \
+        set(os.listdir(model))
+    assert "w0.f64" not in os.listdir(model)
+    back = load_surrogate(str(model))
+    assert back.regressor.dims == [4, 4] and regressor_kind(back) == "linear"
+    sur, _ = fit_from_dataset(poisson_train, FitConfig(d=4, regressor="linear"))
+    assert np.array_equal(predict_batch(back, poisson_train.xs),
+                          predict_batch(sur, poisson_train.xs))
 
 
 def test_save_rejects_mixed_weighted_flags(tmp_path, poisson_train):
@@ -493,6 +512,7 @@ SWEEP = ["sweep", "--problem", "poisson", "--resolution", "17", "--count", "4",
 BASELINE_RB = ["baseline-rb", "--problem", "darcy_lognormal", *GENERATE[3:7], "--d", "4"]
 BASELINE_TAYLOR = ["baseline-taylor", "--problem", "coeff_model", *GENERATE[3:7],
                    "--name", "t", "--budgets", "8"]
+TIMING = ["timing", *BASELINE_RB[1:7], "--d", "4", "--name", "t", "--d-list", "4"]
 
 
 @pytest.mark.parametrize("argv, flag, wanted", [
@@ -506,8 +526,7 @@ BASELINE_TAYLOR = ["baseline-taylor", "--problem", "coeff_model", *GENERATE[3:7]
      "non-negative integer"),
     (SWEEP, ["--values", "8,x"], "positive integers"),
     (SWEEP, ["--test-seed", "-3"], "non-negative integer"),
-    (["timing", *GENERATE[1:7], "--d", "4", "--name", "t", "--d-list", "4"],
-     ["--d-list", "4,-2"], "positive integers"),
+    (TIMING, ["--d-list", "4,-2"], "positive integers"),
     (BASELINE_TAYLOR, ["--budgets", "8,x"], "positive integers"),
     (BASELINE_RB, ["--d", "-4"], "positive integer"),
     (["theory", "mc-rate"], ["--n-list", "64,0"], "positive integers"),
@@ -527,6 +546,7 @@ BASELINE_TAYLOR = ["baseline-taylor", "--problem", "coeff_model", *GENERATE[3:7]
     (SWEEP, ["--regressors", ""], "nn and linear"),
     (SWEEP, ["--regressors", "nn,"], "nn and linear"),
     (SWEEP, ["--regressors", "NN"], "nn and linear"),
+    (TIMING, ["--problem", "poisson"], "invalid choice"),
 ])
 def test_out_of_range_integer_flags_are_usage_errors(capsys, argv, flag, wanted):
     with pytest.raises(SystemExit) as exc:
@@ -557,6 +577,65 @@ def test_bad_burgers_float_flags_are_usage_errors(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert "usage:" in err and flag[0] in err and "finite positive number" in err
     assert not (tmp_path / "data").exists()
+
+
+# (argv, the path under the copied bundle root that the error must name)
+UNWRITABLE_OUTPUTS = {
+    "eval_csv": (["eval", "--model", "{root}/model", "--dataset", "{root}/data",
+                  "--csv", "{root}/nodir/x.csv"], "nodir/x.csv"),
+    "theory_csv": (["theory", "fan", "--trials", "50", "--csv", "{root}/nodir/t.csv"],
+                   "nodir/t.csv"),
+    "fit_out_is_a_file": (["fit", "--dataset", "{root}/data", "--d", "2", "--regressor",
+                           "linear", "--out", "{root}/model/meta", "--name", "m"],
+                          "model/meta"),
+    "sweep_out_is_a_file": ([*SWEEP, "--regressors", "linear", "--out", "{root}/model/meta"],
+                            "model/meta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, monkeypatch,
+                                                    bundles, case):
+    argv, named = UNWRITABLE_OUTPUTS[case]
+    root = tmp_path / "root"
+    shutil.copytree(bundles, root)
+    # a sweep checks where it writes before it runs any cell
+    monkeypatch.setattr("opsurrogate.harness.run_sweep",
+                        lambda *a, **k: pytest.fail("the sweep ran first"))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(root=root) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"opsurrogate {argv[0]}: error: ") and err.count("\n") == 1, err
+    assert str(root / named) in err, err
+
+
+def test_fit_data_that_does_not_fit_is_a_one_line_error(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["generate", "--problem", "coeff_model", "--coeff-dim", "3",
+                 "--resolution", "9", "--count", "8", "--out", out, "--name", "rank3"]) == 0
+    assert main(["generate", "--problem", "coeff_model", "--resolution", "17",
+                 "--count", "2", "--out", out, "--name", "fine"]) == 0
+    fit = ["fit", "--regressor", "linear", "--dataset", f"{out}/rank3", "--out", out,
+           "--name", "model"]
+    for extra, wanted in ((["--d", "6"], ["rank < d"]),
+                          (["--d", "2", "--test-dataset", f"{out}/fine"],
+                           [f"--test-dataset {out}/fine", "n=17", "n=9"])):
+        with pytest.raises(SystemExit) as exc:
+            main([*fit, *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opsurrogate fit: error: ") and err.count("\n") == 1, err
+        assert all(w in err for w in wanted), err
+    assert not (tmp_path / "model").exists()
+
+
+def test_theory_cutoff_zero_is_not_the_default(capsys):
+    printed = []
+    for cutoff in ("0", "8"):
+        main(["theory", "mc-rate", "--trials", "20", "--cutoff", cutoff])
+        printed.append(capsys.readouterr().out)
+    assert printed[0] != printed[1]
 
 
 def test_in_range_integer_flags_parse():
@@ -590,6 +669,7 @@ def test_settings_that_do_not_fit_the_data_are_errors(tmp_path, capsys, argv, wa
 @pytest.mark.parametrize("argv, wanted", [
     (["theory", "fan", "--d", "7", "--dim", "6"], "d=7, dim=6"),
     (["theory", "chebyshev", "--delta", "2"], "got 2.0"),
+    (["theory", "lipschitz", "--cutoff", "1", "--d", "8"], "rank < d"),
 ])
 def test_theory_settings_that_do_not_fit_are_one_line_errors(capsys, argv, wanted):
     with pytest.raises(SystemExit) as exc:

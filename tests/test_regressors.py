@@ -8,7 +8,6 @@ from opsurrogate.regressors import (
     NESTEROV_BLOCK,
     SELU_ALPHA,
     SELU_LAMBDA,
-    LinearModel,
     MlpModel,
     TrainConfig,
     TrainingError,
@@ -78,22 +77,22 @@ def test_fit_linear_recovers_affine_map():
     x = rng.standard_normal((50, 6))
     y = x @ A.T + b
     model = fit_linear(x, y)
-    assert np.max(np.abs(model.matrix - A)) < 1e-8 * max(1, np.max(np.abs(A)))
-    assert np.max(np.abs(model.bias - b)) < 1e-8
+    assert np.max(np.abs(model.weights[0] - A)) < 1e-8 * max(1, np.max(np.abs(A)))
+    assert np.max(np.abs(model.biases[0] - b)) < 1e-8
 
 
 def test_fit_linear_zero_targets():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((20, 3))
     model = fit_linear(x, np.zeros((20, 2)))
-    assert np.max(np.abs(model.matrix)) < 1e-10
-    assert np.max(np.abs(model.bias)) < 1e-10
+    assert np.max(np.abs(model.weights[0])) < 1e-10
+    assert np.max(np.abs(model.biases[0])) < 1e-10
 
 
 def test_fit_linear_one_dimensional_case():
     model = fit_linear(np.array([[0.0], [1.0]]), np.array([[1.0], [3.0]]))
-    assert model.matrix[0, 0] == pytest.approx(2.0, rel=1e-10)
-    assert model.bias[0] == pytest.approx(1.0, rel=1e-10)
+    assert model.weights[0][0, 0] == pytest.approx(2.0, rel=1e-10)
+    assert model.biases[0][0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_fit_linear_residual_orthogonal_to_inputs():
@@ -101,9 +100,30 @@ def test_fit_linear_residual_orthogonal_to_inputs():
     x = rng.standard_normal((40, 5))
     y = rng.standard_normal((40, 3))
     model = fit_linear(x, y)
-    resid = y - (x @ model.matrix.T + model.bias)
+    resid = y - (x @ model.weights[0].T + model.biases[0])
     design = np.concatenate([x, np.ones((40, 1))], axis=1)
     assert np.max(np.abs(design.T @ resid)) < 1e-8 * np.max(np.abs(design.T @ y))
+
+
+def test_fit_linear_is_the_network_with_no_hidden_layer():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((40, 5))
+    model = fit_linear(x, rng.standard_normal((40, 3)))
+    assert isinstance(model, MlpModel) and model.dims == [5, 3]
+    W, b = model.weights[0], model.biases[0]
+    # the one-layer forward is the affine map, bit for bit
+    assert np.array_equal(predict(model, x), x @ W.T + b)
+    assert np.array_equal(predict(model, x[3]), (x[3:4] @ W.T + b)[0])
+
+
+def test_predict_keeps_float32_codes_on_a_float32_network_in_float32():
+    model = init_mlp([3, 8, 2], seed=9)
+    model32 = MlpModel([W.astype(np.float32) for W in model.weights],
+                       [b.astype(np.float32) for b in model.biases])
+    s = np.random.default_rng(5).standard_normal((4, 3)).astype(np.float32)
+    out = predict(model32, s)
+    assert out.dtype == np.float32 and np.array_equal(out, mlp_forward(model32, s))
+    assert predict(model, s).dtype == np.float64
 
 
 def test_fit_linear_warns_on_rank_deficiency():
@@ -474,7 +494,7 @@ def test_all_rates_blowing_up_raises():
 
 
 def test_predict_linear_identity_and_mlp_bias_propagation():
-    ident = LinearModel(np.eye(3), np.zeros(3))
+    ident = MlpModel([np.eye(3)], [np.zeros(3)])
     s = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(predict(ident, s), s)
 

@@ -9,7 +9,7 @@ from opsurrogate.random_fields import (
     mu_g_spec,
     sample_gaussian_box,
 )
-from opsurrogate.regressors import LinearModel, TrainConfig, fit_linear
+from opsurrogate.regressors import MlpModel, TrainConfig, fit_linear
 from opsurrogate.solvers import NumericalError, solve_poisson
 from opsurrogate.surrogate import (
     RbSolver,
@@ -46,7 +46,7 @@ def build_linear_surrogate(xs, ys, d):
     mean, std = code_scaling_stats(codes_in)
     codes_out = encode_batch(pca_out, ys)
     reg = fit_linear((codes_in - mean) / std, codes_out)
-    return Surrogate(pca_in, pca_out, reg, mean, std)
+    return Surrogate(pca_in, pca_out, reg, mean, std, np.zeros(d), np.ones(d))
 
 
 def test_exact_composition_on_linear_problem(poisson_data):
@@ -62,8 +62,8 @@ def test_zero_input_zero_bias_linear_gives_zero(poisson_data):
     xs, ys = poisson_data
     sur = build_linear_surrogate(xs, ys, d=6)
     zeroed = Surrogate(sur.pca_in, sur.pca_out,
-                       LinearModel(sur.regressor.matrix, np.zeros(6)),
-                       np.zeros(6), np.ones(6))
+                       MlpModel([sur.regressor.weights[0]], [np.zeros(6)]),
+                       np.zeros(6), np.ones(6), np.zeros(6), np.ones(6))
     out = predict_function(zeroed, GridFunction(BOX2D, 17, np.zeros(17 * 17)))
     assert np.max(np.abs(out.values)) < 1e-12
 
@@ -72,8 +72,8 @@ def test_relative_error_of_zero_surrogate_is_one(poisson_data):
     xs, ys = poisson_data
     sur = build_linear_surrogate(xs, ys, d=6)
     dead = Surrogate(sur.pca_in, sur.pca_out,
-                     LinearModel(np.zeros((6, 6)), np.zeros(6)),
-                     sur.input_mean, sur.input_std)
+                     MlpModel([np.zeros((6, 6))], [np.zeros(6)]),
+                     sur.input_mean, sur.input_std, np.zeros(6), np.ones(6))
     assert relative_test_error(dead, xs[:10], ys[:10])[0] == pytest.approx(1.0, abs=1e-14)
 
 
