@@ -6,11 +6,12 @@ mesh-invariance story rests on.
 """
 import numpy as np
 
-from opsurrogate import BOX2D, empirical_projection_error, fit_pca, mu_g_spec, subsample
-from opsurrogate.random_fields import sample_gaussian_box
+from opsurrogate import (
+    BOX2D, empirical_projection_error, fit_pca, mu_g_spec, sample_field, subsample,
+)
 
 spec = mu_g_spec(cutoff=16)
-fine = np.stack([sample_gaussian_box(spec, 65, seed=i).values for i in range(128)])
+fine = np.stack([sample_field(spec, 65, seed=i).values for i in range(128)])
 
 print("top 6 eigenvalues by resolution (same 128 random functions)")
 for n in (17, 33, 65):

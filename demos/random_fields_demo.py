@@ -5,8 +5,8 @@ Run: python demos/random_fields_demo.py
 import numpy as np
 
 from opsurrogate import (
-    BOX2D, mu_b_spec, mu_g_spec, mu_l_spec, mu_p_spec,
-    norm, sample_field, subsample,
+    BOX2D, TORUS1D, mu_b_spec, mu_g_spec, mu_l_spec, mu_p_spec,
+    norms, sample_field, subsample,
 )
 from opsurrogate.random_fields import box_mode_stddevs, torus_mode_stddevs
 
@@ -18,7 +18,8 @@ for label, spec, n in [("mu_G", mu_g_spec(cutoff=16), n_box),
                        ("mu_P", mu_p_spec(cutoff=16), n_box),
                        ("mu_B", mu_b_spec(cutoff=127), n_torus)]:
     u = sample_field(spec, n, seed=0)
-    print(f"{label:6s} {u.values.min():10.4f} {u.values.max():10.4f} {norm(u):10.4f}")
+    print(f"{label:6s} {u.values.min():10.4f} {u.values.max():10.4f} "
+          f"{norms(u.domain, n, u.values)[0]:10.4f}")
 
 # determinism and mesh consistency: sampling fine then subsampling is the
 # same bits as sampling coarse directly
@@ -32,7 +33,8 @@ print("\nfine->subsample == coarse:",
 specb = mu_b_spec(cutoff=127)
 sig = torus_mode_stddevs(specb)  # one entry per cosine and per sine mode
 analytic = np.sum(sig ** 2)
-sq = [norm(sample_field(specb, n_torus, seed=s)) ** 2 for s in range(500)]
+rows = np.stack([sample_field(specb, n_torus, seed=s).values for s in range(500)])
+sq = norms(TORUS1D, n_torus, rows) ** 2
 print(f"mu_B E||u||^2: empirical {np.mean(sq):.4f} vs analytic {analytic:.4f}")
 
 sig_g = box_mode_stddevs(mu_g_spec(cutoff=16))

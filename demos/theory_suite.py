@@ -1,8 +1,7 @@
 """Run the four empirical theory checks and print their reports."""
 import numpy as np
 
-from opsurrogate import BOX2D, fit_pca, mu_g_spec
-from opsurrogate.random_fields import sample_gaussian_box
+from opsurrogate import BOX2D, fit_pca, mu_g_spec, sample_field
 from opsurrogate.theory import (
     check_chebyshev_coverage,
     check_encoder_lipschitz,
@@ -17,7 +16,7 @@ for delta in (0.1, 0.5):
     print(check_chebyshev_coverage(mu_g_spec(cutoff=8), d=10, delta=delta,
                                    N_train=300, N_test=2000, seed=2).summary())
 
-data = np.stack([sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=100 + i).values
+data = np.stack([sample_field(mu_g_spec(cutoff=8), 17, seed=100 + i).values
                  for i in range(40)])
 print(check_encoder_lipschitz(fit_pca(data, BOX2D, 17, d=8), trials=1000,
                               seed=3).summary())

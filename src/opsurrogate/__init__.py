@@ -17,9 +17,8 @@ _EXPORTS = {
         "TORUS1D",
         "GridFunction",
         "from_callable",
-        "inner_product",
         "interpolate",
-        "norm",
+        "norms",
         "quadrature_weights",
         "subsample",
     ),
@@ -51,13 +50,11 @@ _EXPORTS = {
         "train_mlp",
     ),
     "solvers": (
-        "BurgersProblem",
         "EllipticProblem",
         "darcy_solver",
         "oracle_burgers_colehopf",
-        "solve_burgers",
+        "solve_burgers_batch",
         "solve_darcy",
-        "solve_poisson",
     ),
     "surrogate": (
         "Surrogate",

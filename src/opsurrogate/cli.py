@@ -169,6 +169,7 @@ def cmd_fit(args) -> int:
     from .datasets import read_dataset
     from .grid import ShapeError
     from .harness import fit_from_dataset, save_surrogate
+    from .random_fields import ConfigError
 
     ds = read_dataset(args.dataset)
     test_ds = read_dataset(args.test_dataset) if args.test_dataset else None
@@ -177,6 +178,10 @@ def cmd_fit(args) -> int:
         raise ShapeError(f"--test-dataset {args.test_dataset} is on grid "
                          f"{test_ds.config.domain} n={test_ds.resolution}, not on the "
                          f"training grid {grid[0]} n={grid[1]}")
+    if test_ds is not None and args.regressor == "linear":
+        raise ConfigError("--test-dataset feeds only the per-epoch test metric of "
+                          "--regressor nn; `opsurrogate eval` on the saved model gives "
+                          "a linear model's test error")
     fit_cfg = _fit_config(args)
     path = os.path.join(_out_root(args), args.name)
     sur, result = fit_from_dataset(ds, fit_cfg, test_ds=test_ds)
@@ -215,9 +220,6 @@ def cmd_eval(args) -> int:
 
     sur = load_surrogate(args.model)
     test = read_dataset(args.dataset)
-    if test.config.count == 0 or test.xs.shape[0] == 0:
-        print("error: empty test set", file=sys.stderr)
-        return 2
     error, online, skipped = evaluate(sur, test, allow_transfer=args.transfer)
     row = {
         "problem": test.config.problem,
@@ -229,8 +231,7 @@ def cmd_eval(args) -> int:
         "online_seconds": repr(online),
         "skipped_zero_norm": skipped,
     }
-    _print_row(row)
-    if args.csv:
+    if args.csv:  # stdout gets the row only once the file has it
         with open(args.csv, "a+", newline="") as fh:
             fh.seek(0)
             header = fh.readline().rstrip("\r\n")
@@ -242,6 +243,7 @@ def cmd_eval(args) -> int:
             if not header:
                 w.writeheader()
             w.writerow(row)
+    _print_row(row)
     return 0
 
 
@@ -367,12 +369,12 @@ def cmd_theory(args) -> int:
                          for i in range(args.n_train)])
         model = fit_pca(data, "box2d", 33, args.d)
         report = check_encoder_lipschitz(model, args.trials, args.seed + 1)
-    print(report.summary())
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["key", "value"])
             writer.writerows(report.rows())
+    print(report.summary())
     return 0 if report.passed else 1
 
 
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_args(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--test-dataset", default=None,
-                   help="optional validation set for per-epoch test error")
+                   help="optional validation set for the per-epoch test error of an nn fit")
     p.add_argument("--name", required=True, help="model directory name")
     p.set_defaults(func=cmd_fit)
 

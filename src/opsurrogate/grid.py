@@ -1,8 +1,8 @@
 """Grid functions on the unit square and the 1-D unit torus.
 
 All downstream quantities (PCA spectra, relative errors, latent codes) are
-built on the quadrature-weighted L2 inner product defined here, which is what
-makes results comparable across grid resolutions.
+built on the quadrature-weighted L2 inner product whose weights are defined
+here, which is what makes results comparable across grid resolutions.
 
 Conventions:
   * box2d: n points per axis including both boundaries, spacing h = 1/(n-1).
@@ -13,7 +13,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,23 +90,11 @@ def quadrature_weights(domain: str, n: int) -> np.ndarray:
     return np.outer(w1, w1).reshape(-1)
 
 
-def _check_compatible(u: GridFunction, v: GridFunction):
-    if u.domain != v.domain or u.n != v.n:
-        raise ShapeError(
-            f"incompatible grid functions: ({u.domain}, n={u.n}) vs "
-            f"({v.domain}, n={v.n})"
-        )
-
-
-def inner_product(u: GridFunction, v: GridFunction) -> float:
-    """Quadrature approximation of the L2 inner product over the domain."""
-    _check_compatible(u, v)
-    w = quadrature_weights(u.domain, u.n)
-    return float(np.dot(w * u.values, v.values))
-
-
-def norm(u: GridFunction) -> float:
-    return math.sqrt(inner_product(u, u))
+def norms(domain: str, n: int, rows: np.ndarray) -> np.ndarray:
+    """Quadrature L2 norms of the rows of a (count, points) array of n-grid
+    values, each sqrt(dot(w * u, u))."""
+    w = quadrature_weights(domain, n)
+    return np.sqrt([np.dot(w * u, u) for u in np.atleast_2d(rows)])
 
 
 def nested_stride(domain: str, n: int, target_n: int) -> int:

@@ -145,16 +145,14 @@ def box_mode_stddevs(spec: MeasureSpec) -> np.ndarray:
     return np.sqrt(spec.scale) * (np.pi ** 2 * k2 + spec.shift) ** (-spec.exponent / 2.0)
 
 
-def sample_gaussian_box(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
-    if spec.kind not in (MU_G, MU_L, MU_P):
-        raise ConfigError(f"expected a mu_G-family spec, got {spec.kind}")
+def _sample_gaussian_box(spec: MeasureSpec, n: int, seed: int) -> np.ndarray:
     _check_cutoff(BOX2D, n, spec.cutoff)
     K = spec.cutoff
     sigma = box_mode_stddevs(spec)
     B = _cosine_basis_1d(n, K)
     xi = np.random.default_rng(seed).standard_normal((K + 1, K + 1))  # index [k1, k2]
     # u[i2, i1] = sum_{k1,k2} sigma*xi [k1,k2] B[i2,k2] B[i1,k1]
-    return GridFunction(BOX2D, n, (B @ (sigma * xi).T @ B.T).reshape(-1))
+    return (B @ (sigma * xi).T @ B.T).reshape(-1)
 
 
 @lru_cache(maxsize=32)
@@ -177,13 +175,11 @@ def torus_mode_stddevs(spec: MeasureSpec) -> np.ndarray:
     return np.repeat(sigma_k, [1] + [2] * spec.cutoff)
 
 
-def sample_mu_b(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
-    if spec.kind != MU_B:
-        raise ConfigError(f"expected a mu_B spec, got {spec.kind}")
+def _sample_mu_b(spec: MeasureSpec, n: int, seed: int) -> np.ndarray:
     _check_cutoff(TORUS1D, n, spec.cutoff)
     sigma = torus_mode_stddevs(spec)
     xi = np.random.default_rng(seed).standard_normal((1, sigma.size))
-    return GridFunction(TORUS1D, n, ((xi * sigma) @ _torus_basis(n, spec.cutoff))[0])
+    return ((xi * sigma) @ _torus_basis(n, spec.cutoff))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +229,12 @@ def coeff_model_sup_norms(spec: MeasureSpec, count: int) -> np.ndarray:
 
 def sample_field(spec: MeasureSpec, n: int, seed: int) -> GridFunction:
     if spec.kind == MU_B:
-        return sample_mu_b(spec, n, seed)
-    g = sample_gaussian_box(spec, n, seed)  # ConfigError outside the mu_G family
+        return GridFunction(TORUS1D, n, _sample_mu_b(spec, n, seed))
+    if spec.kind not in (MU_G, MU_L, MU_P):
+        raise ConfigError(f"expected a mu_G-family or mu_B spec, got {spec.kind}")
+    g = _sample_gaussian_box(spec, n, seed)
     if spec.kind == MU_L:
-        return GridFunction(BOX2D, n, np.exp(g.values))
-    if spec.kind == MU_P:
-        return GridFunction(BOX2D, n, threshold_map(g.values, spec.high, spec.low))
-    return g
+        g = np.exp(g)
+    elif spec.kind == MU_P:
+        g = threshold_map(g, spec.high, spec.low)
+    return GridFunction(BOX2D, n, g)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import cg  # noqa: F401  (perfbench wraps this name; nothing calls it)
 
-from .grid import BOX2D, TORUS1D, GridFunction, ShapeError
+from .grid import BOX2D, GridFunction, ShapeError
 
 
 class DomainError(ValueError):
@@ -42,20 +42,6 @@ class EllipticProblem:
             raise ShapeError("coefficient and forcing resolutions differ")
         if np.min(self.a.values) <= 0.0:
             raise DomainError("coefficient must be strictly positive")
-
-
-@dataclass(frozen=True)
-class BurgersProblem:
-    """u_t + (u^2/2)_s = beta u_ss on the unit torus, solved to t_final."""
-
-    u0: GridFunction
-    beta: float
-    t_final: float
-
-    def __post_init__(self):
-        if self.u0.domain != TORUS1D:
-            raise ShapeError("Burgers problems live on torus1d grids")
-        _check_burgers(self.beta, self.t_final)
 
 
 def _check_burgers(beta: float, t_final: float):
@@ -192,12 +178,6 @@ def solve_darcy(problem: EllipticProblem) -> GridFunction:
     return GridFunction(BOX2D, problem.a.n, u[0])
 
 
-def solve_poisson(f: GridFunction) -> GridFunction:
-    """-Lap u = f with zero Dirichlet data (unit coefficient)."""
-    ones = GridFunction(BOX2D, f.n, np.ones(f.n ** 2))
-    return solve_darcy(EllipticProblem(ones, f))
-
-
 # ---------------------------------------------------------------------------
 # Burgers solver
 
@@ -311,22 +291,17 @@ def solve_burgers_batch(
     return out
 
 
-def solve_burgers(problem: BurgersProblem) -> GridFunction:
-    out = solve_burgers_batch(
-        problem.u0.values[None, :], problem.beta, problem.t_final
-    )
-    return GridFunction(TORUS1D, problem.u0.n, out[0])
-
-
-def oracle_burgers_colehopf(problem: BurgersProblem) -> GridFunction:
-    """Independent Cole-Hopf solution; validation only.
+def oracle_burgers_colehopf(u0: np.ndarray, beta: float, t_final: float) -> np.ndarray:
+    """Independent Cole-Hopf solution of u_t + (u^2/2)_s = beta u_ss on the
+    unit torus, for one row of initial data; validation only.
 
     u = -2 beta d/ds log(theta) with theta the heat evolution of
     exp(-U0 / (2 beta)), U0 a periodic primitive of the (mean-zero) initial
     data. All derivatives and the heat semigroup are spectral and exact.
     """
-    u0 = problem.u0.values
-    n = problem.u0.n
+    _check_burgers(beta, t_final)
+    u0 = np.asarray(u0, dtype=np.float64)
+    n = u0.size
     mean = float(np.mean(u0))
     if abs(mean) > 1e-10:
         raise DomainError(
@@ -338,9 +313,9 @@ def oracle_burgers_colehopf(problem: BurgersProblem) -> GridFunction:
     prim = np.zeros_like(w0)
     prim[1:] = w0[1:] / (1j * k[1:])
     U0 = np.fft.irfft(prim, n=n)
-    theta0 = np.exp(-U0 / (2.0 * problem.beta))
-    decay = np.exp(-problem.beta * k ** 2 * problem.t_final)
+    theta0 = np.exp(-U0 / (2.0 * beta))
+    decay = np.exp(-beta * k ** 2 * t_final)
     theta_hat = np.fft.rfft(theta0) * decay
     theta = np.fft.irfft(theta_hat, n=n)
     theta_s = np.fft.irfft(1j * k * theta_hat, n=n)
-    return GridFunction(TORUS1D, n, -2.0 * problem.beta * theta_s / theta)
+    return -2.0 * beta * theta_s / theta

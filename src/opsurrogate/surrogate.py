@@ -140,7 +140,10 @@ def predict_function(sur: Surrogate, x: GridFunction) -> GridFunction:
 
 def relative_errors(preds: np.ndarray, ys: np.ndarray, weights: np.ndarray):
     """Per-sample ||pred - y|| / ||y|| and the number of zero-norm targets,
-    which are skipped; raises ValueError if every target has zero norm."""
+    which are skipped. Raises a `ShapeError` (a ValueError) on an empty test
+    set and a ValueError if every target has zero norm."""
+    if len(ys) == 0:
+        raise ShapeError("empty test set")
     err = np.sqrt(np.sum((preds - ys) * weights * (preds - ys), axis=1))
     ynorm = np.sqrt(np.sum(ys * weights * ys, axis=1))
     keep = ynorm > 0.0
@@ -155,8 +158,6 @@ def relative_errors(preds: np.ndarray, ys: np.ndarray, weights: np.ndarray):
 def relative_test_error(sur: Surrogate, xs: np.ndarray, ys: np.ndarray):
     """Monte Carlo mean of ||surrogate(x) - y|| / ||y|| over test pairs, and
     the number of zero-norm targets left out of it."""
-    if xs.shape[0] == 0:
-        raise ValueError("empty test set")
     preds = predict_batch(sur, xs)
     ratios, skipped = relative_errors(preds, ys, sur.pca_out.weights)
     return float(np.mean(ratios)), skipped

@@ -9,12 +9,11 @@ computed statistics and the stated tolerances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import norm, quadrature_weights
+from .grid import norms
 from .pca import PcaModel, decode_batch, encode_batch, fit_pca
 from .random_fields import (
     MU_B,
@@ -139,9 +138,10 @@ def check_chebyshev_coverage(
     least 1 - delta, where M^2 = (empirical second moment) / delta."""
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    train = [sample_field(spec, n, derive_seed(seed, i)) for i in range(N_train)]
-    model = fit_pca(np.stack([u.values for u in train]), train[0].domain, n, d)
-    second_moment = float(np.mean([norm(u) ** 2 for u in train]))
+    fields = [sample_field(spec, n, derive_seed(seed, i)) for i in range(N_train)]
+    domain, train = fields[0].domain, np.stack([u.values for u in fields])
+    model = fit_pca(train, domain, n, d)
+    second_moment = float(np.mean(norms(domain, n, train) ** 2))
     M = np.sqrt(second_moment / delta)
     test = np.stack([sample_field(spec, n, derive_seed(seed + 1, i)).values
                      for i in range(N_test)])
@@ -165,23 +165,19 @@ def check_encoder_lipschitz(
     """Encoder is 1-Lipschitz; decoder is an isometry onto the span."""
     rng = np.random.default_rng(seed)
     npts = pca.basis.shape[1]
-    w = quadrature_weights(pca.domain, pca.n)
-
-    def l2(u):  # grid.norm on a bare row
-        return math.sqrt(float(np.dot(w * u, u)))
-
     worst_encoder = 0.0
     worst_decoder = 0.0
     for _ in range(trials):
         v = rng.standard_normal(npts)
         z = rng.standard_normal(npts)
         enc = encode_batch(pca, v[None, :]) - encode_batch(pca, z[None, :])
-        worst_encoder = max(worst_encoder, float(np.linalg.norm(enc)) / l2(v - z))
+        enc_ratio = np.linalg.norm(enc) / norms(pca.domain, pca.n, v - z)[0]
+        worst_encoder = max(worst_encoder, float(enc_ratio))
         s = rng.standard_normal(pca.d)
         t = rng.standard_normal(pca.d)
         dec = decode_batch(pca, s[None, :]) - decode_batch(pca, t[None, :])
-        dec_ratio = l2(dec[0]) / float(np.linalg.norm(s - t))
-        worst_decoder = max(worst_decoder, abs(dec_ratio - 1.0))
+        dec_ratio = norms(pca.domain, pca.n, dec)[0] / np.linalg.norm(s - t)
+        worst_decoder = max(worst_decoder, float(abs(dec_ratio - 1.0)))
     passed = worst_encoder <= 1.0 + tol and worst_decoder <= tol
     return TheoryReport(
         "encoder_lipschitz",

@@ -17,6 +17,15 @@ from opsurrogate.datasets import (
 from opsurrogate.grid import ShapeError
 from opsurrogate.pca import fit_pca, transfer_basis
 from opsurrogate.protocols import dataset_hash
+from opsurrogate.random_fields import derive_seed, sample_field
+
+
+def assert_rows_are_sampled(ds):
+    """Each input row is the `sample_field` draw of its derived seed, bit for bit."""
+    cfg = ds.config
+    for i, x in enumerate(ds.xs):
+        drawn = sample_field(cfg.measure(), cfg.resolution, derive_seed(cfg.seed, i)).values
+        assert np.array_equal(x.view(np.uint64), drawn.view(np.uint64))
 
 
 def test_burgers_file_sizes(tmp_path):
@@ -175,6 +184,7 @@ def test_burgers_samples_do_not_depend_on_the_count():
                                           count=32, seed=15))
     assert np.array_equal(head.xs, full.xs[:32])
     assert np.array_equal(head.ys.view(np.uint64), full.ys[:32].view(np.uint64))
+    assert_rows_are_sampled(full)
 
 
 def test_fixed_coefficient_is_deterministic():
@@ -220,6 +230,8 @@ def test_elliptic_samples_solve_the_assembled_system(problem):
     n = 17
     ds = generate_dataset(ProblemConfig(problem=problem, resolution=n, count=4,
                                         seed=6, coeff_dim=10))
+    if problem != "coeff_model":  # the other four draw their inputs from a measure
+        assert_rows_are_sampled(ds)
     ones = GridFunction(BOX2D, n, np.ones(n * n))
     for x, y in zip(ds.xs, ds.ys):
         x = GridFunction(BOX2D, n, x)

@@ -374,7 +374,7 @@ def test_cli_fit_eval_pipeline(tmp_path):
                     "--dataset", str(tmp_path / "test"), "--csv", str(results)],
                    cwd=str(tmp_path), check=False)
     assert proc.returncode == 2 and "append to a new file" in proc.stderr
-    assert results.read_text() == old
+    assert proc.stdout == "" and results.read_text() == old
     proc = run_cli(["transfer", "--model", str(tmp_path / "model"),
                     "--dataset", str(tmp_path / "test"), "--threads", "1"],
                    cwd=str(tmp_path))
@@ -605,9 +605,10 @@ def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, monkeypatc
     with pytest.raises(SystemExit) as exc:
         main([arg.format(root=root) for arg in argv])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"opsurrogate {argv[0]}: error: ") and err.count("\n") == 1, err
     assert str(root / named) in err, err
+    assert out == "", "a command that fails prints no result"
 
 
 def test_fit_data_that_does_not_fit_is_a_one_line_error(tmp_path, capsys):
@@ -628,6 +629,34 @@ def test_fit_data_that_does_not_fit_is_a_one_line_error(tmp_path, capsys):
         assert err.startswith("opsurrogate fit: error: ") and err.count("\n") == 1, err
         assert all(w in err for w in wanted), err
     assert not (tmp_path / "model").exists()
+
+
+def test_fit_linear_with_a_test_dataset_is_a_one_line_error(tmp_path, capsys, bundles):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--regressor", "linear", "--d", "2", "--dataset", f"{bundles}/data",
+              "--test-dataset", f"{bundles}/data", "--out", str(tmp_path), "--name", "m"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("opsurrogate fit: error: --test-dataset ") and err.count("\n") == 1
+    assert "--regressor nn" in err and "opsurrogate eval" in err, err
+    assert out == "" and not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--model", "{root}/model", "--dataset", "{root}/empty"],
+    ["fit", "--dataset", "{root}/data", "--test-dataset", "{root}/empty", "--d", "2",
+     "--hidden", "4", "--epochs", "2", "--out", "{root}", "--name", "nn"],
+])
+def test_empty_test_set_is_a_one_line_error(tmp_path, capsys, bundles, poisson_train, argv):
+    root = tmp_path / "root"
+    shutil.copytree(bundles, root)
+    write_dataset(poisson_train.head(0), str(root / "empty"))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(root=root) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert err == f"opsurrogate {argv[0]}: error: empty test set\n"
+    assert out == "" and not (root / "nn").exists()
 
 
 def test_theory_cutoff_zero_is_not_the_default(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsurrogate.grid import BOX2D, GridFunction, ShapeError, norm, quadrature_weights
+from opsurrogate.grid import BOX2D, GridFunction, ShapeError, norms, quadrature_weights
 from opsurrogate.pca import (
     PcaConfigError,
     RankDeficiencyError,
@@ -11,7 +11,7 @@ from opsurrogate.pca import (
     fit_pca,
     transfer_basis,
 )
-from opsurrogate.random_fields import box_mode_stddevs, mu_g_spec, sample_gaussian_box
+from opsurrogate.random_fields import box_mode_stddevs, mu_g_spec, sample_field
 
 
 def values(functions):
@@ -24,18 +24,19 @@ def fit(functions, d):
 
 def mu_g_samples(n, count, base_seed, cutoff=8):
     spec = mu_g_spec(cutoff=cutoff)
-    return [sample_gaussian_box(spec, n, seed=base_seed + i) for i in range(count)]
+    return [sample_field(spec, n, seed=base_seed + i) for i in range(count)]
 
 
 def test_repeated_function_spectrum():
     rng = np.random.default_rng(0)
     u = GridFunction(BOX2D, 9, rng.standard_normal(81))
     model = fit([u] * 8, d=1)
-    assert model.eigenvalues[0] == pytest.approx(norm(u) ** 2, rel=1e-12)
+    u_norm = norms(BOX2D, 9, u.values)[0]
+    assert model.eigenvalues[0] == pytest.approx(u_norm ** 2, rel=1e-12)
     assert np.max(np.abs(model.eigenvalues[1:])) < 1e-12
     phi1 = decode_batch(model, np.array([[1.0]]))[0]
     sign = np.sign(np.dot(phi1, u.values))
-    assert np.max(np.abs(phi1 - sign * u.values / norm(u))) < 1e-10
+    assert np.max(np.abs(phi1 - sign * u.values / u_norm)) < 1e-10
 
 
 def test_recovers_kl_spectrum():
@@ -46,7 +47,7 @@ def test_recovers_kl_spectrum():
     sig2 = np.sort(box_mode_stddevs(spec).reshape(-1) ** 2)[::-1]
     reps = 20
     top = np.array([
-        fit([sample_gaussian_box(spec, 17, seed=1000 * r + i) for i in range(200)],
+        fit([sample_field(spec, 17, seed=1000 * r + i) for i in range(200)],
                 d=3).eigenvalues[:3]
         for r in range(reps)
     ])
@@ -82,8 +83,9 @@ def test_encode_basis_gives_standard_vectors():
 def test_encode_bessel_and_zero():
     data = mu_g_samples(17, 30, base_seed=30)
     model = fit(data, d=6)
-    u = sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=999)
-    assert np.linalg.norm(encode_batch(model, u.values[None, :])) <= norm(u) * (1 + 1e-12)
+    u = sample_field(mu_g_spec(cutoff=8), 17, seed=999)
+    assert (np.linalg.norm(encode_batch(model, u.values[None, :]))
+            <= norms(BOX2D, 17, u.values)[0] * (1 + 1e-12))
     assert np.array_equal(encode_batch(model, np.zeros((1, 17 * 17))), np.zeros((1, 6)))
 
 
@@ -93,8 +95,7 @@ def test_decode_isometry_and_idempotence():
     rng = np.random.default_rng(3)
     s, t = rng.standard_normal(6), rng.standard_normal(6)
     diff = decode_batch(model, s[None, :]) - decode_batch(model, t[None, :])
-    assert norm(GridFunction(BOX2D, 17, diff)) == pytest.approx(np.linalg.norm(s - t),
-                                                              rel=1e-10)
+    assert norms(BOX2D, 17, diff)[0] == pytest.approx(np.linalg.norm(s - t), rel=1e-10)
 
     s1 = encode_batch(model, data[0].values[None, :])
     s2 = encode_batch(model, decode_batch(model, s1))
@@ -104,11 +105,11 @@ def test_decode_isometry_and_idempotence():
 def test_pythagoras():
     data = mu_g_samples(17, 30, base_seed=50)
     model = fit(data, d=6)
-    u = sample_gaussian_box(mu_g_spec(cutoff=8), 17, seed=1234)
+    u = sample_field(mu_g_spec(cutoff=8), 17, seed=1234)
     s = encode_batch(model, u.values[None, :])
-    resid = GridFunction(BOX2D, 17, u.values - decode_batch(model, s)[0])
-    lhs = norm(resid) ** 2 + np.sum(s * s)
-    assert lhs == pytest.approx(norm(u) ** 2, rel=1e-10)
+    resid_norm, u_norm = norms(BOX2D, 17, np.stack([u.values - decode_batch(model, s)[0],
+                                                     u.values]))
+    assert resid_norm ** 2 + np.sum(s * s) == pytest.approx(u_norm ** 2, rel=1e-10)
 
 
 def test_projection_error_matches_eigenvalue_tail():

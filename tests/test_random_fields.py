@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsurrogate.datasets import ProblemConfig, generate_dataset
-from opsurrogate.grid import BOX2D, TORUS1D, norm, quadrature_weights, subsample
+from opsurrogate.grid import BOX2D, TORUS1D, norms, quadrature_weights, subsample
 from opsurrogate.random_fields import (
     ConfigError,
     box_mode_stddevs,
@@ -17,8 +17,6 @@ from opsurrogate.random_fields import (
     mu_p_spec,
     nyquist_cutoff,
     sample_field,
-    sample_gaussian_box,
-    sample_mu_b,
     threshold_map,
     torus_mode_stddevs,
 )
@@ -45,17 +43,20 @@ def test_sampling_is_deterministic():
         assert np.array_equal(a.values, b.values)
         c = sample_field(spec, n, seed=43)
         assert not np.array_equal(a.values, c.values)
+    # the coefficient model is assembled from its basis, not drawn
+    with pytest.raises(ConfigError, match="coeff_model"):
+        sample_field(coeff_model_spec(8), 17, seed=42)
 
 
 def test_mesh_consistency_fine_then_subsample():
     spec = mu_g_spec(cutoff=8)
-    fine = sample_gaussian_box(spec, 33, seed=5)
-    coarse = sample_gaussian_box(spec, 17, seed=5)
+    fine = sample_field(spec, 33, seed=5)
+    coarse = sample_field(spec, 17, seed=5)
     assert np.array_equal(subsample(BOX2D, 33, fine.values[None, :], 17)[0], coarse.values)
 
     specb = mu_b_spec(cutoff=31)
-    fineb = sample_mu_b(specb, 256, seed=5)
-    coarseb = sample_mu_b(specb, 64, seed=5)
+    fineb = sample_field(specb, 256, seed=5)
+    coarseb = sample_field(specb, 64, seed=5)
     assert np.array_equal(subsample(TORUS1D, 256, fineb.values[None, :], 64)[0],
                           coarseb.values)
 
@@ -73,7 +74,7 @@ def test_mu_l_positive_and_mu_p_two_valued():
     up = sample_field(mu_p_spec(8), 17, seed=3)
     assert set(np.unique(up.values)) <= {3.0, 12.0}
     # both are pointwise maps of the mu_G draw with the same seed
-    g = sample_gaussian_box(mu_g_spec(8), 17, seed=3).values
+    g = sample_field(mu_g_spec(8), 17, seed=3).values
     assert np.array_equal(ul.values, np.exp(g))
     assert np.array_equal(up.values, threshold_map(g))
 
@@ -90,7 +91,7 @@ def test_mu_g_pointwise_variance_matches_series():
     n = 9
     mid = (n // 2) * n + n // 2
     trials = 20000
-    vals = np.array([sample_gaussian_box(spec, n, seed=s).values[mid]
+    vals = np.array([sample_field(spec, n, seed=s).values[mid]
                      for s in range(trials)])
     # analytic series: sum_k sigma_k^2 phi_k(0.5,0.5)^2 with phi products of
     # the Neumann cosines; read it off a huge sample-free evaluation instead
@@ -110,7 +111,8 @@ def test_mu_b_parseval():
     # sig is already per basis row (cos and sin each carry sigma_k)
     analytic = np.sum(sig ** 2)
     trials = 2000
-    sq = [norm(sample_mu_b(spec, 64, seed=s)) ** 2 for s in range(trials)]
+    rows = np.stack([sample_field(spec, 64, seed=s).values for s in range(trials)])
+    sq = norms(TORUS1D, 64, rows) ** 2
     se = np.std(sq) / np.sqrt(trials)
     assert abs(np.mean(sq) - analytic) < 4 * se
 
@@ -121,7 +123,7 @@ def test_mu_g_sample_mean_is_small():
     trials = 10000
     acc = np.zeros(n * n)
     for s in range(trials):
-        acc += sample_gaussian_box(spec, n, seed=s).values
+        acc += sample_field(spec, n, seed=s).values
     mean_field = acc / trials
     w = quadrature_weights("box2d", n)
     mean_norm = np.sqrt(np.sum(w * mean_field ** 2))
@@ -135,9 +137,9 @@ def test_cutoff_beyond_nyquist_rejected():
     assert nyquist_cutoff("box2d", 17) == 16
     assert nyquist_cutoff("torus1d", 64) == 31
     with pytest.raises(ConfigError):
-        sample_gaussian_box(mu_g_spec(cutoff=20), 17, seed=0)
+        sample_field(mu_g_spec(cutoff=20), 17, seed=0)
     with pytest.raises(ConfigError):
-        sample_mu_b(mu_b_spec(cutoff=40), 64, seed=0)
+        sample_field(mu_b_spec(cutoff=40), 64, seed=0)
 
 
 def test_coeff_model_leading_eigenvalue():

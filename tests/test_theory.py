@@ -4,7 +4,7 @@ from scipy.special import erf
 
 from opsurrogate.grid import BOX2D
 from opsurrogate.pca import decode_batch, encode_batch, fit_pca
-from opsurrogate.random_fields import mu_g_spec, sample_gaussian_box
+from opsurrogate.random_fields import mu_g_spec, sample_field
 from opsurrogate.theory import (
     check_chebyshev_coverage,
     check_encoder_lipschitz,
@@ -84,7 +84,7 @@ def test_chebyshev_one_dimensional_gaussian_oracle():
 
 def test_encoder_lipschitz_report():
     spec = mu_g_spec(cutoff=8)
-    data = np.stack([sample_gaussian_box(spec, 17, seed=600 + i).values for i in range(40)])
+    data = np.stack([sample_field(spec, 17, seed=600 + i).values for i in range(40)])
     pca = fit_pca(data, BOX2D, 17, d=8)
     report = check_encoder_lipschitz(pca, trials=500, seed=6)
     assert report.passed
@@ -93,7 +93,7 @@ def test_encoder_lipschitz_report():
 
 def test_encoder_equality_and_orthogonal_cases():
     spec = mu_g_spec(cutoff=8)
-    data = np.stack([sample_gaussian_box(spec, 17, seed=700 + i).values for i in range(40)])
+    data = np.stack([sample_field(spec, 17, seed=700 + i).values for i in range(40)])
     pca = fit_pca(data, BOX2D, 17, d=8)
     rng = np.random.default_rng(7)
     s, t = rng.standard_normal(8), rng.standard_normal(8)
@@ -103,7 +103,7 @@ def test_encoder_equality_and_orthogonal_cases():
     assert np.linalg.norm(codes[0] - codes[1]) == pytest.approx(np.linalg.norm(s - t),
                                                                 rel=1e-10)
     # difference orthogonal to the span: encoder difference vanishes
-    u = sample_gaussian_box(spec, 17, seed=900).values[None, :]
+    u = sample_field(spec, 17, seed=900).values[None, :]
     resid = u - decode_batch(pca, encode_batch(pca, u))
     shifted = encode_batch(pca, v + resid)
     assert np.linalg.norm(shifted - encode_batch(pca, v[None, :])) < 1e-10
