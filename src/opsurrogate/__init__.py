@@ -41,8 +41,8 @@ _EXPORTS = {
         "sample_field",
     ),
     "regressors": (
+        "FitConfig",
         "MlpModel",
-        "TrainConfig",
         "fit_linear",
         "init_mlp",
         "predict",

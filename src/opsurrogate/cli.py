@@ -51,14 +51,7 @@ def _add_common(p):
                    help="output root (default: $OPSURROGATE_OUT or cwd)")
 
 
-PROBLEMS = ("linear_elliptic", "poisson", "darcy_lognormal", "darcy_piecewise",
-            "burgers", "coeff_model")
-# the problems whose inputs are the coefficient a of -div(a grad u) = 1,
-# which is what the reduced-basis Galerkin solve takes
-COEFFICIENT_PROBLEMS = ("darcy_lognormal", "darcy_piecewise")
-
-
-def _add_problem_args(p, problems=PROBLEMS):
+def _add_problem_args(p, problems):
     p.add_argument("--problem", required=True, choices=problems)
     p.add_argument("--resolution", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
                    required=True)
@@ -120,19 +113,21 @@ def _positive_ints(text: str) -> tuple:
 
 
 def _add_fit_args(p):
+    from .regressors import FitConfig
+
     p.add_argument("--d", type=_positive_int, required=True, help="reduced dimension")
-    p.add_argument("--regressor", choices=["nn", "linear"], default="nn")
-    p.add_argument("--epochs", type=_positive_int, default=500)
-    p.add_argument("--batch-size", type=_positive_int, default=64)
-    p.add_argument("--fit-seed", type=_non_negative_int, default=0)
-    p.add_argument("--hidden", type=_positive_ints, default="500,1000,2000,1000,500",
+    p.add_argument("--regressor", choices=["nn", "linear"], default=FitConfig.regressor)
+    p.add_argument("--epochs", type=_positive_int, default=FitConfig.epochs)
+    p.add_argument("--batch-size", type=_positive_int, default=FitConfig.batch_size)
+    p.add_argument("--fit-seed", type=_non_negative_int, default=FitConfig.seed)
+    p.add_argument("--hidden", type=_positive_ints, default=FitConfig.hidden,
                    help="comma-separated hidden layer widths")
     p.add_argument("--unweighted", action="store_true",
                    help="use plain Euclidean (not quadrature-weighted) PCA")
 
 
 def _fit_config(args):
-    from .harness import FitConfig
+    from .regressors import FitConfig
 
     return FitConfig(
         d=args.d,
@@ -167,21 +162,10 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     from .datasets import read_dataset
-    from .grid import ShapeError
     from .harness import fit_from_dataset, save_surrogate
-    from .random_fields import ConfigError
 
     ds = read_dataset(args.dataset)
     test_ds = read_dataset(args.test_dataset) if args.test_dataset else None
-    grid = (ds.config.domain, ds.resolution)
-    if test_ds is not None and (test_ds.config.domain, test_ds.resolution) != grid:
-        raise ShapeError(f"--test-dataset {args.test_dataset} is on grid "
-                         f"{test_ds.config.domain} n={test_ds.resolution}, not on the "
-                         f"training grid {grid[0]} n={grid[1]}")
-    if test_ds is not None and args.regressor == "linear":
-        raise ConfigError("--test-dataset feeds only the per-epoch test metric of "
-                          "--regressor nn; `opsurrogate eval` on the saved model gives "
-                          "a linear model's test error")
     fit_cfg = _fit_config(args)
     path = os.path.join(_out_root(args), args.name)
     sur, result = fit_from_dataset(ds, fit_cfg, test_ds=test_ds)
@@ -192,11 +176,7 @@ def cmd_fit(args) -> int:
         "fit_seed": fit_cfg.seed,
         "epochs": fit_cfg.epochs,
     }
-    if result is not None:
-        meta["learning_rate"] = result.learning_rate
-        save_surrogate(sur, path, meta, result.train_loss, result.test_metric)
-    else:
-        save_surrogate(sur, path, meta)
+    save_surrogate(sur, path, meta, result)
     print(f"wrote surrogate {path} (d={fit_cfg.d}, regressor={fit_cfg.regressor})")
     if result is not None:
         print("\n".join(_learning_rate_report(result)))
@@ -393,6 +373,9 @@ def cmd_timing(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # numpy loads here, after `_pin_threads`
+    from .datasets import COEFFICIENT_PROBLEMS, PROBLEMS
+
     parser = argparse.ArgumentParser(
         prog="opsurrogate",
         description="PCA + latent-regressor surrogates for PDE solution maps",
@@ -401,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample inputs, solve, write a dataset")
     _add_common(p)
-    _add_problem_args(p)
+    _add_problem_args(p, PROBLEMS)
     p.add_argument("--name", required=True, help="dataset directory name")
     p.set_defaults(func=cmd_generate)
 
@@ -428,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one axis; CSV columns: problem,"
                        "resolution,d,N,regressor,relative_error,online_seconds,status")
     _add_common(p)
-    _add_problem_args(p)
+    _add_problem_args(p, PROBLEMS)
     _add_fit_args(p)
     p.add_argument("--axis", required=True, choices=["resolution", "dimension",
                                                      "samples"])

@@ -44,6 +44,9 @@ PROBLEMS = (
     "burgers",
     "coeff_model",
 )
+# the problems whose inputs are the coefficient a of -div(a grad u) = 1,
+# which is what the reduced-basis Galerkin solve takes
+COEFFICIENT_PROBLEMS = ("darcy_lognormal", "darcy_piecewise")
 
 _AUX_SALT = 0x5EEDC0FFEE  # seed stream for the fixed coefficient draw
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,40 +27,32 @@ from .datasets import (
 )
 from .grid import BOX2D, TORUS1D, ShapeError
 from .pca import PcaModel, fit_pca, transfer_basis
-from .regressors import DEFAULT_HIDDEN, MlpModel, TrainConfig
+from .random_fields import ConfigError
+from .regressors import FitConfig, MlpModel, TrainResult
 from .surrogate import Surrogate, fit_surrogate, relative_test_error
 from .surrogate import relative_errors  # noqa: F401  (perfbench times it under this name)
 
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
-class FitConfig:
-    d: int
-    regressor: str = "nn"           # "nn" | "linear"
-    epochs: int = 500
-    batch_size: int = 64
-    seed: int = 0
-    hidden: tuple = DEFAULT_HIDDEN
-    weighted: bool = True
-
-
 def fit_from_dataset(ds: Dataset, fit_cfg: FitConfig, test_ds: Dataset | None = None):
     """Fit input/output PCA and the latent regressor; returns
-    (surrogate, train_result_or_None)."""
+    (surrogate, train_result_or_None). A `test_ds`, which feeds the
+    per-epoch test metric of a network, must lie on the training grid."""
     grid = (ds.config.domain, ds.resolution)
+    if test_ds is not None:
+        if (test_ds.config.domain, test_ds.resolution) != grid:
+            raise ShapeError(f"--test-dataset (test_ds) grid {test_ds.config.domain} "
+                             f"n={test_ds.resolution} does not match training grid "
+                             f"{grid[0]} n={grid[1]}")
+        if fit_cfg.regressor == "linear":
+            raise ConfigError("--test-dataset (test_ds) feeds only the per-epoch test "
+                              "metric of --regressor nn; `opsurrogate eval` on the saved "
+                              "model gives a linear model's test error")
     pca_in = fit_pca(ds.xs, *grid, fit_cfg.d, weighted=fit_cfg.weighted)
     pca_out = fit_pca(ds.ys, *grid, fit_cfg.d, weighted=fit_cfg.weighted)
-    return fit_surrogate(
-        ds.xs,
-        ds.ys,
-        pca_in,
-        pca_out,
-        fit_cfg.regressor,
-        TrainConfig(batch_size=fit_cfg.batch_size, epochs=fit_cfg.epochs, seed=fit_cfg.seed),
-        hidden=fit_cfg.hidden,
-        test=None if test_ds is None else (test_ds.xs, test_ds.ys),
-    )
+    return fit_surrogate(ds.xs, ds.ys, pca_in, pca_out, fit_cfg,
+                         test=None if test_ds is None else (test_ds.xs, test_ds.ys))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +64,9 @@ def regressor_kind(sur: Surrogate) -> str:
 
 
 def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = None,
-                   loss_history=None, test_history=None):
+                   result: TrainResult | None = None):
+    """Write a model directory; a network's `result` adds its learning rate
+    to `meta` and its histories to `loss_history.csv`."""
     if sur.pca_in.weighted != sur.pca_out.weighted:
         raise ValueError(
             "the model format stores one `weighted` flag for both PCAs, but "
@@ -80,6 +74,8 @@ def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = Non
             f"pca_out.weighted={sur.pca_out.weighted}"
         )
     meta = dict(extra_meta or {})
+    if result is not None:
+        meta["learning_rate"] = result.learning_rate
     meta.update(format_version=MODEL_FORMAT_VERSION, weighted=int(sur.pca_in.weighted))
     tensors = {"input_mean": sur.input_mean, "input_std": sur.input_std}
     for side, pca in (("in", sur.pca_in), ("out", sur.pca_out)):
@@ -95,15 +91,13 @@ def save_surrogate(sur: Surrogate, directory: str, extra_meta: dict | None = Non
         for i, (W, b) in enumerate(zip(sur.regressor.weights, sur.regressor.biases)):
             tensors.update({f"w{i}": W, f"b{i}": b})
     write_bundle(directory, meta, tensors)
-    if loss_history is not None:
+    if result is not None:
         with open(os.path.join(directory, "loss_history.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_mse", "test_relative_error"])
-            for i, loss in enumerate(loss_history):
-                test_val = (
-                    test_history[i] if test_history and i < len(test_history) else ""
-                )
-                writer.writerow([i, repr(loss), test_val])
+            tests = result.test_metric
+            for i, loss in enumerate(result.train_loss):
+                writer.writerow([i, repr(loss), tests[i] if i < len(tests) else ""])
 
 
 def _parse_dims(text: str) -> list[int]:

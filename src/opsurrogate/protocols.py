@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datasets import Dataset, ProblemConfig, generate_dataset
+from .datasets import COEFFICIENT_PROBLEMS, Dataset, ProblemConfig, generate_dataset
 from .grid import quadrature_weights
 from .harness import FitConfig, fit_from_dataset
 from .random_fields import MeasureSpec, coeff_model_sup_norms
@@ -120,7 +120,7 @@ def run_rb_timing(
     Timing excludes dataset generation and I/O; each measurement discards a
     warm-up call and reports the median of repeats.
     """
-    if base.problem not in ("darcy_lognormal", "darcy_piecewise"):
+    if base.problem not in COEFFICIENT_PROBLEMS:
         raise ValueError("RB timing is defined for the Darcy problems")
     train = generate_dataset(base)
     probe = generate_dataset(replace(base, count=n_probe, seed=base.seed + 1))

@@ -1,10 +1,13 @@
 """Latent-space regressors: a dense SELU network trained by minibatch SGD
 with Nesterov momentum, and affine least squares, the net with no hidden layer.
 
-The training loop walks a descending list of learning-rate candidates and
-keeps the largest one whose loss never blows up. It runs in float32; the
-losses that decide a blow-up are float64 means, and the trained network is
-returned as its exact float64 upcast, so prediction is float64 throughout.
+`FitConfig` is the one configuration of a surrogate fit, from the PCA
+dimension to the training schedule; the momentum and the blow-up factor are
+the module constants `MOMENTUM` and `BLOWUP_FACTOR`. The training loop walks
+a descending list of learning-rate candidates and keeps the largest one
+whose loss never blows up. It runs in float32; the losses that decide a
+blow-up are float64 means, and the trained network is returned as its exact
+float64 upcast, so prediction is float64 throughout.
 """
 
 from __future__ import annotations
@@ -18,6 +21,40 @@ SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 
 DEFAULT_HIDDEN = (500, 1000, 2000, 1000, 500)
+MOMENTUM = 0.99
+# a candidate learning rate is rejected once an epoch loss exceeds this
+# multiple of the initial network's loss
+BLOWUP_FACTOR = 10.0
+
+
+@dataclass
+class FitConfig:
+    """One surrogate fit: the PCA dimension `d` and inner product
+    (`weighted`), the latent regressor, and the network's training schedule.
+    `learning_rates` are tried largest first."""
+
+    d: int
+    regressor: str = "nn"           # "nn" | "linear"
+    epochs: int = 500
+    batch_size: int = 64
+    seed: int = 0
+    hidden: tuple = DEFAULT_HIDDEN
+    weighted: bool = True
+    learning_rates: tuple = (1e-2, 5e-3, 1e-3, 5e-4, 1e-4)
+
+    def __post_init__(self):
+        if self.regressor not in ("nn", "linear"):
+            raise ValueError(f"unknown regressor kind {self.regressor!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        rates = tuple(sorted(self.learning_rates, reverse=True))
+        if not rates or not all(lr > 0.0 for lr in rates):
+            raise ValueError(
+                f"learning_rates must be one or more positive rates, got {rates}"
+            )
+        self.learning_rates = rates
 
 
 class TrainingError(RuntimeError):
@@ -83,32 +120,6 @@ def _flat_views(flat: np.ndarray, dims) -> MlpModel:
         biases.append(flat[stop:stop + fan_out])
         start = stop + fan_out
     return MlpModel(weights, biases)
-
-
-@dataclass
-class TrainConfig:
-    learning_rates: tuple = (1e-2, 5e-3, 1e-3, 5e-4, 1e-4)
-    momentum: float = 0.99
-    batch_size: int = 64
-    epochs: int = 500
-    seed: int = 0
-    blowup_factor: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        rates = tuple(sorted(self.learning_rates, reverse=True))
-        if not rates or not all(lr > 0.0 for lr in rates):
-            raise ValueError(
-                f"learning_rates must be one or more positive rates, got {rates}"
-            )
-        if not self.blowup_factor > 0.0:
-            raise ValueError(f"blowup_factor must be positive, got {self.blowup_factor}")
-        self.learning_rates = rates
 
 
 def init_mlp(dims: list[int], seed: int) -> MlpModel:
@@ -240,7 +251,7 @@ def _load_flat(flat: np.ndarray, model: MlpModel) -> MlpModel:
 # blow-ups are expected while probing learning rates and are detected
 # through the loss check below, so the overflow warnings are just noise
 @np.errstate(over="ignore", invalid="ignore")
-def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, blowup: float,
+def _run_sgd(init, x32, y32, y, cfg: FitConfig, lr: float, blowup: float,
              test_metric_fn, buffers):
     """Train in float32 from the weights of `init` in the flat float32
     vectors `buffers` = (phi, velocity, gradient), on the data `x32`, `y32`.
@@ -255,7 +266,7 @@ def _run_sgd(init, x32, y32, y, cfg: TrainConfig, lr: float, blowup: float,
     flat_phi, vel, grad = buffers
     phi = _load_flat(flat_phi, init)
     grad_model = _flat_views(grad, init.dims)
-    lr, momentum = np.float32(lr), np.float32(cfg.momentum)
+    lr, momentum = np.float32(lr), np.float32(MOMENTUM)
     vel.fill(0.0)
     n = x32.shape[0]
     batch = min(cfg.batch_size, n)
@@ -283,7 +294,7 @@ def train_mlp(
     model: MlpModel,
     x: np.ndarray,
     y: np.ndarray,
-    cfg: TrainConfig,
+    cfg: FitConfig,
     test_metric_fn=None,
 ) -> TrainResult:
     """Minibatch Nesterov SGD on the MSE of latent pairs, in float32.
@@ -293,7 +304,7 @@ def train_mlp(
     `nesterov_step`). Learning-rate candidates are tried from largest to
     smallest; a candidate is rejected (and training restarted from the
     float32 cast of the initial weights) as soon as the epoch loss exceeds
-    blowup_factor times the loss of that cast, computed once per fit, or
+    BLOWUP_FACTOR times the loss of that cast, computed once per fit, or
     turns non-finite. The first entries of the histories are the loss and
     metric of `model` itself in float64; each later loss is the float64 MSE
     of the float32 network phi, and the last one that of the float32
@@ -311,7 +322,7 @@ def train_mlp(
     size = sum(W.size + b.size for W, b in zip(model.weights, model.biases))
     # phi, velocity, gradient; a kept candidate leaves theta in the gradient
     buffers = [np.empty(size, dtype=np.float32) for _ in range(3)]
-    blowup = cfg.blowup_factor * max(mlp_loss(_load_flat(buffers[0], model), x32, y), 1e-30)
+    blowup = BLOWUP_FACTOR * max(mlp_loss(_load_flat(buffers[0], model), x32, y), 1e-30)
     failures = {}
     for lr in cfg.learning_rates:
         result, failure = _run_sgd(model, x32, y32, y, cfg, lr, blowup, test_metric_fn,

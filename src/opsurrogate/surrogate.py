@@ -16,7 +16,7 @@ import numpy as np
 from .grid import GridFunction, ShapeError, quadrature_weights
 from .pca import PcaModel, decode_batch, encode_batch
 from .random_fields import MeasureSpec, coeff_model_basis
-from .regressors import DEFAULT_HIDDEN, MlpModel, TrainConfig, fit_linear, predict, train_mlp
+from .regressors import FitConfig, MlpModel, fit_linear, predict, train_mlp
 from .solvers import NumericalError, darcy_solver
 
 
@@ -61,9 +61,7 @@ def fit_surrogate(
     ys: np.ndarray,
     pca_in: PcaModel,
     pca_out: PcaModel,
-    regressor_kind: str,
-    train_cfg: TrainConfig | None = None,
-    hidden: tuple = DEFAULT_HIDDEN,
+    cfg: FitConfig,
     test: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Train a latent regressor on encoded training pairs.
@@ -76,11 +74,13 @@ def fit_surrogate(
     decay of the codes, leaving an isotropic latent cloud too sparse to
     interpolate at desk-scale sample counts.
 
-    The network has hidden layers of the widths in `hidden`. An optional
-    `test` pair (xs, ys) adds the relative test error after every epoch to
-    the training result: from a float32 forward for the float32 weights of
-    the middle epochs, and from the float64 forward of the returned
-    surrogate for the last one, so the last entry equals its test error.
+    `cfg.regressor` picks the regressor; the network has hidden layers of
+    the widths in `cfg.hidden` and trains on `cfg`'s schedule. For it, an
+    optional `test` pair (xs, ys) adds the relative test error after every
+    epoch to the training result: from a float32 forward for the float32
+    weights of the middle epochs, and from the float64 forward of the
+    returned surrogate for the last one, so the last entry equals its test
+    error; a linear fit has no epochs and reads no `test`.
     Returns (surrogate, train_result_or_None).
     """
     codes_in = encode_batch(pca_in, xs)
@@ -93,14 +93,11 @@ def fit_surrogate(
     def surrogate(model):
         return Surrogate(pca_in, pca_out, model, mean, std, tmean, tstd)
 
-    if regressor_kind == "linear":
+    if cfg.regressor == "linear":
         return surrogate(fit_linear(z, zt)), None
-    if regressor_kind != "nn":
-        raise ValueError(f"unknown regressor kind {regressor_kind!r}")
     # looked up per call: perfbench's tracer wraps it
     from .regressors import init_mlp
 
-    cfg = train_cfg or TrainConfig()
     test_metric = None
     if test is not None:
         test_xs, test_ys = test
@@ -115,7 +112,7 @@ def fit_surrogate(
                                         pca_out.weights)
             return float(np.mean(ratios))
 
-    init = init_mlp([pca_in.d, *hidden, pca_out.d], cfg.seed)
+    init = init_mlp([pca_in.d, *cfg.hidden, pca_out.d], cfg.seed)
     result = train_mlp(init, z, zt, cfg, test_metric)
     return surrogate(result.model), result
 

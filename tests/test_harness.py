@@ -14,6 +14,7 @@ import pytest
 import opsurrogate
 from opsurrogate.cli import (
     _THREAD_VARS,
+    _fit_config,
     _learning_rate_report,
     _pin_threads,
     build_parser,
@@ -39,7 +40,9 @@ from opsurrogate.harness import (
     write_csv,
     write_svg_lines,
 )
-from opsurrogate.regressors import TrainConfig, init_mlp, train_mlp
+from opsurrogate.grid import ShapeError
+from opsurrogate.random_fields import ConfigError
+from opsurrogate.regressors import init_mlp, train_mlp
 from opsurrogate.surrogate import predict_batch
 
 
@@ -118,13 +121,39 @@ def test_evaluate_counts_zero_norm_targets(poisson_train, poisson_test):
         evaluate(sur, dataclasses.replace(poisson_test, ys=np.zeros_like(ys)))
 
 
-def test_nn_loss_history_recorded(poisson_train, poisson_test):
+def test_nn_loss_history_recorded(tmp_path, poisson_train, poisson_test):
     sur, result = fit_from_dataset(
         poisson_train,
         FitConfig(d=6, regressor="nn", epochs=3, seed=4, hidden=(16, 16)),
         test_ds=poisson_test)
     assert np.all(np.isfinite(result.train_loss))
     assert len(result.test_metric) == len(result.train_loss)
+    save_surrogate(sur, str(tmp_path), {"problem": "poisson"}, result)
+    assert read_meta(str(tmp_path / "meta"))["learning_rate"] == repr(result.learning_rate)
+    with open(tmp_path / "loss_history.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "train_mse", "test_relative_error"]
+    assert rows[1:] == [[str(i), repr(loss), repr(test)] for i, (loss, test)
+                        in enumerate(zip(result.train_loss, result.test_metric))]
+
+
+@pytest.mark.parametrize("problem, n, regressor, error, words", [
+    # as many values per row (256) on another domain: nothing else would fail
+    ("burgers", 256, "nn", ShapeError, ["torus1d n=256", "box2d n=16"]),
+    ("poisson", 16, "linear", ConfigError, ["--regressor nn", "opsurrogate eval"]),
+])
+def test_fit_rejects_a_test_set_it_cannot_use_before_any_pca(monkeypatch, problem, n,
+                                                             regressor, error, words):
+    train = generate_dataset(ProblemConfig(problem="poisson", resolution=16, count=4,
+                                           seed=1))
+    test = generate_dataset(ProblemConfig(problem=problem, resolution=n, count=2, seed=2))
+    monkeypatch.setattr("opsurrogate.harness.fit_pca",
+                        lambda *a, **k: pytest.fail("PCA ran before the check"))
+    with pytest.raises(error) as exc:
+        fit_from_dataset(train, FitConfig(d=2, regressor=regressor, epochs=1,
+                                          hidden=(4,)), test)
+    assert str(exc.value).startswith("--test-dataset (test_ds) ")
+    assert all(w in str(exc.value) for w in words), exc.value
 
 
 def test_save_load_roundtrip(tmp_path, poisson_train, poisson_test):
@@ -493,6 +522,18 @@ def test_cli_theory_commands(tmp_path):
     assert "fan" in listing
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--dataset", "x", "--name", "m"],
+    ["sweep", "--problem", "poisson", "--resolution", "9", "--count", "4",
+     "--axis", "dimension", "--values", "2", "--name", "s"],
+    ["timing", "--problem", "darcy_lognormal", "--resolution", "9", "--count", "4",
+     "--d-list", "2", "--name", "t"],
+])
+def test_fit_flag_defaults_are_the_fit_config_defaults(argv):
+    args = build_parser().parse_args([*argv, "--d", "3"])
+    assert _fit_config(args) == FitConfig(d=3)
+
+
 @pytest.mark.parametrize("flag", [["--epochs", "-1"], ["--epochs", "0"],
                                   ["--batch-size", "-4"], ["--batch-size", "0"],
                                   ["--hidden", "8,0"], ["--hidden", "8,,8"]])
@@ -621,7 +662,7 @@ def test_fit_data_that_does_not_fit_is_a_one_line_error(tmp_path, capsys):
            "--name", "model"]
     for extra, wanted in ((["--d", "6"], ["rank < d"]),
                           (["--d", "2", "--test-dataset", f"{out}/fine"],
-                           [f"--test-dataset {out}/fine", "n=17", "n=9"])):
+                           ["--test-dataset", "n=17", "n=9"])):
         with pytest.raises(SystemExit) as exc:
             main([*fit, *extra])
         assert exc.value.code == 2
@@ -731,7 +772,7 @@ def test_learning_rate_report_names_each_rejected_rate():
     rng = np.random.default_rng(11)
     x = 10 * rng.standard_normal((64, 3))
     y = 10 * rng.standard_normal((64, 3))
-    cfg = TrainConfig(epochs=8, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
+    cfg = FitConfig(d=3, epochs=8, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
     result = train_mlp(init_mlp([3, 16, 3], seed=5), x, y, cfg)
     lines = _learning_rate_report(result)
     assert lines[0] == "learning_rate = 0.0001"

@@ -5,11 +5,13 @@ import pytest
 
 from opsurrogate import regressors
 from opsurrogate.regressors import (
+    BLOWUP_FACTOR,
+    MOMENTUM,
     NESTEROV_BLOCK,
     SELU_ALPHA,
     SELU_LAMBDA,
+    FitConfig,
     MlpModel,
-    TrainConfig,
     TrainingError,
     fit_linear,
     init_mlp,
@@ -254,7 +256,7 @@ def _cast(model, dtype):
 def _reference_run_sgd(init, x, y, cfg, lr, blowup, test_metric_fn):
     model = _cast(init, np.float32)
     x32, y32 = x.astype(np.float32), y.astype(np.float32)
-    lr, momentum = np.float32(lr), np.float32(cfg.momentum)
+    lr, momentum = np.float32(lr), np.float32(MOMENTUM)
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
     rng = np.random.default_rng(cfg.seed)
@@ -288,7 +290,7 @@ def _reference_run_sgd(init, x, y, cfg, lr, blowup, test_metric_fn):
 
 def _reference_train(init, x, y, cfg, test_metric_fn):
     x32 = x.astype(np.float32)
-    blowup = cfg.blowup_factor * max(mlp_loss(_cast(init, np.float32), x32, y), 1e-30)
+    blowup = BLOWUP_FACTOR * max(mlp_loss(_cast(init, np.float32), x32, y), 1e-30)
     failures = {}
     for lr in cfg.learning_rates:
         result, failure = _reference_run_sgd(init, x, y, cfg, lr, blowup, test_metric_fn)
@@ -309,7 +311,7 @@ def test_training_is_bit_identical_to_list_based_reference(monkeypatch, block):
     y = np.tanh(x @ rng.standard_normal((4, 3)))
     xt = rng.standard_normal((20, 4))
     yt = np.tanh(xt @ rng.standard_normal((4, 3)))
-    cfg = TrainConfig(epochs=4, batch_size=16, seed=15, learning_rates=(50.0, 1e-2))
+    cfg = FitConfig(d=4, epochs=4, batch_size=16, seed=15, learning_rates=(50.0, 1e-2))
     init = init_mlp([4, 12, 10, 3], seed=16)
     saved = init_mlp([4, 12, 10, 3], seed=16)  # an independent copy of init
 
@@ -343,7 +345,7 @@ def _blowup_data():
 
 def test_rejected_epoch_takes_no_test_metric_and_the_last_gets_float64():
     x, y = _blowup_data()
-    cfg = TrainConfig(epochs=5, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
+    cfg = FitConfig(d=3, epochs=5, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
     dtypes = []
 
     def metric(model):
@@ -363,7 +365,7 @@ def test_rejected_epoch_takes_no_test_metric_and_the_last_gets_float64():
 
 def test_blowup_reference_is_computed_once_per_fit(monkeypatch):
     x, y = _blowup_data()
-    cfg = TrainConfig(epochs=3, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
+    cfg = FitConfig(d=3, epochs=3, batch_size=16, seed=4, learning_rates=(1e6, 1e-4))
     init = init_mlp([3, 16, 3], seed=5)
     start32 = _cast(init, np.float32)
     reference_calls = []
@@ -400,11 +402,11 @@ def test_gradients_into_out_equal_allocated_and_reference():
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("batch_size", -4), ("epochs", 0), ("epochs", -1),
     ("learning_rates", ()), ("learning_rates", (1e-3, 0.0)),
-    ("learning_rates", (-1e-3,)), ("blowup_factor", 0.0), ("blowup_factor", -2.0),
+    ("learning_rates", (-1e-3,)), ("regressor", "bogus"),
 ])
 def test_train_config_rejects_degenerate_settings(field, value):
     with pytest.raises(ValueError, match=field):
-        TrainConfig(**{field: value})
+        FitConfig(d=3, **{field: value})
 
 
 @pytest.mark.parametrize("dims", [[3, 0, 2], [3, 8, -1], [0, 4], [3]])
@@ -418,7 +420,7 @@ def test_training_on_self_generated_targets_starts_at_zero():
     model = init_mlp([4, 8, 3], seed=9)
     x = rng.standard_normal((32, 4))
     y = mlp_forward(model, x)
-    cfg = TrainConfig(epochs=3, batch_size=16, seed=1)
+    cfg = FitConfig(d=4, epochs=3, batch_size=16, seed=1)
     result = train_mlp(model, x, y, cfg)
     assert result.train_loss[0] == pytest.approx(0.0, abs=1e-20)
     assert np.all(np.isfinite(result.train_loss))
@@ -429,7 +431,7 @@ def test_training_is_reproducible():
     x = rng.standard_normal((64, 5))
     y = np.tanh(x @ rng.standard_normal((5, 5)))
     xt = rng.standard_normal((16, 5))
-    cfg = TrainConfig(epochs=5, batch_size=16, seed=2, learning_rates=(1e-3,))
+    cfg = FitConfig(d=5, epochs=5, batch_size=16, seed=2, learning_rates=(1e-3,))
 
     def metric(model):
         return float(np.mean(mlp_forward(model, xt)))
@@ -448,7 +450,7 @@ def test_trained_model_is_exact_float64_upcast_of_float32_weights():
     rng = np.random.default_rng(19)
     x = rng.standard_normal((40, 3))
     y = np.tanh(x @ rng.standard_normal((3, 2)))
-    cfg = TrainConfig(epochs=3, batch_size=8, seed=20, learning_rates=(1e-3,))
+    cfg = FitConfig(d=3, epochs=3, batch_size=8, seed=20, learning_rates=(1e-3,))
     result = train_mlp(init_mlp([3, 9, 2], seed=21), x, y, cfg)
     for p in result.model.weights + result.model.biases:
         assert p.dtype == np.float64
@@ -475,7 +477,7 @@ def test_learning_rate_walk_skips_blowup():
     rng = np.random.default_rng(11)
     x = 10 * rng.standard_normal((64, 3))
     y = 10 * rng.standard_normal((64, 3))
-    cfg = TrainConfig(epochs=8, batch_size=16, seed=4,
+    cfg = FitConfig(d=3, epochs=8, batch_size=16, seed=4,
                       learning_rates=(1e6, 1e-4))
     result = train_mlp(init_mlp([3, 16, 3], seed=5), x, y, cfg)
     assert result.learning_rate == 1e-4
@@ -486,7 +488,7 @@ def test_all_rates_blowing_up_raises():
     rng = np.random.default_rng(12)
     x = 10 * rng.standard_normal((64, 3))
     y = 10 * rng.standard_normal((64, 3))
-    cfg = TrainConfig(epochs=8, batch_size=16, seed=6,
+    cfg = FitConfig(d=3, epochs=8, batch_size=16, seed=6,
                       learning_rates=(1e8, 1e7))
     with pytest.raises(TrainingError) as exc:
         train_mlp(init_mlp([3, 16, 3], seed=7), x, y, cfg)

@@ -9,7 +9,7 @@ from opsurrogate.random_fields import (
     mu_g_spec,
     sample_field,
 )
-from opsurrogate.regressors import MlpModel, TrainConfig, fit_linear
+from opsurrogate.regressors import FitConfig, MlpModel, fit_linear
 from opsurrogate.solvers import NumericalError, darcy_solver
 from opsurrogate.surrogate import (
     RbSolver,
@@ -104,8 +104,8 @@ def test_relative_errors_skips_zero_norm_targets(poisson_data):
 def test_fit_surrogate_nn_hidden_and_test_history(poisson_data):
     xs, ys = poisson_data
     lin = build_linear_surrogate(xs, ys, d=6)
-    sur, result = fit_surrogate(xs[:40], ys[:40], lin.pca_in, lin.pca_out, "nn",
-                                TrainConfig(epochs=3), hidden=(16,),
+    sur, result = fit_surrogate(xs[:40], ys[:40], lin.pca_in, lin.pca_out,
+                                FitConfig(d=6, epochs=3, hidden=(16,)),
                                 test=(xs[40:], ys[40:]))
     assert sur.regressor.dims == [6, 16, 6]
     assert len(result.test_metric) == len(result.train_loss) == 4
@@ -116,8 +116,8 @@ def test_fit_surrogate_nn_hidden_and_test_history(poisson_data):
 def test_predict_function_matches_predict_batch_row(poisson_data):
     xs, ys = poisson_data
     lin = build_linear_surrogate(xs, ys, d=6)
-    nn, _ = fit_surrogate(xs, ys, lin.pca_in, lin.pca_out, "nn",
-                          TrainConfig(epochs=2), hidden=(16, 16))
+    nn, _ = fit_surrogate(xs, ys, lin.pca_in, lin.pca_out,
+                          FitConfig(d=6, epochs=2, hidden=(16, 16)))
     for sur in (lin, nn):
         rows = predict_batch(sur, xs[:8])
         for x, row in zip(xs[:8], rows):
